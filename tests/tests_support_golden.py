@@ -1,0 +1,147 @@
+"""Golden output pins: small CLI configs and the SHA-256 digests of their outputs.
+
+Every engine path (Gaussian and logistic oracles, full device, scheme I and
+scheme II, full batch and minibatch, fixed and decaying schedules) has one
+small config here.  ``tests/test_golden.py`` runs each through the CLI and
+compares output bytes with ``golden_digests.json``.  Temperature 0.7 and
+rho 0.3 make any slip in how tau or rho reach the noise visible.
+
+The float64 log1p/sin/cos kernels behind the Box-Muller normals are
+SIMD-dispatched, so the pinned bits hold for the numpy version and machine
+recorded next to the digests.  Regenerate only when a change alters output
+bits on purpose:
+
+    PYTHONPATH=src python tests/tests_support_golden.py --write
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
+
+_GAUSSIAN = """\
+model = gaussian
+n_clients = 4
+points_per_client = 6
+dimension = 2
+sigma = 5, -2, -2, 1
+alpha = 1.0
+tau = 0.7
+rho = 0.3
+k_local = 2
+horizon = 40
+replications = 3
+seed = 17
+"""
+
+_LOGISTIC = """\
+model = logistic
+n_clients = 4
+points_per_client = 8
+n_features = 2
+n_classes = 3
+ridge = 0.05
+alpha = 0.5
+tau = 0.7
+rho = 0.3
+k_local = 2
+eta = 0.002
+horizon = 24
+replications = 3
+seed = 23
+collect_every = 2
+warmup_rounds = 0
+n_test = 30
+"""
+
+_SCHEMES = {
+    "full": "scheme = full\n",
+    "scheme1:2": "scheme = scheme1\ns_devices = 2\n",
+    "scheme2:2": "scheme = scheme2\ns_devices = 2\n",
+}
+
+# analysis commands need a privacy sensitivity, budgets and an accuracy target
+_ANALYSIS = "delta_l = 1.0\neps_star = 50.0\ndelta_star = 0.5\ntarget_eps = 0.5\n"
+
+RUN_FILES = ("trajectory.csv", "run_metrics.csv")
+ANALYSIS_FILES = {"plan": "plan.txt", "bounds": "bounds.csv", "privacy": "privacy_report.txt"}
+ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q1")
+
+
+def _configs() -> dict:
+    configs = {}
+    for model, base in (("gaussian", _GAUSSIAN + "eta = 0.0005\n"), ("logistic", _LOGISTIC)):
+        for scheme, scheme_lines in _SCHEMES.items():
+            for q in ("1", "0.5"):
+                name = f"{model}-{scheme}-q{q}"
+                text = base + scheme_lines + f"subsample_ratio = {q}\n"
+                configs[name] = text + (_ANALYSIS if name in ANALYSED else "")
+    configs["gaussian-full-decaying"] = _GAUSSIAN + "schedule = decaying\n"
+    return configs
+
+
+#: name -> config text; every config is run, the ANALYSED ones also analysed
+GOLDEN_CONFIGS = _configs()
+
+
+def platform_facts() -> dict:
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def output_digests(name: str, workdir: Path) -> dict:
+    """Run config ``name`` through the CLI in this process; file name -> SHA-256."""
+    from fald import cli
+
+    cfg_path = workdir / f"{name.replace(':', '_')}.cfg"
+    cfg_path.write_text(GOLDEN_CONFIGS[name], encoding="utf-8")
+    commands = {"run": RUN_FILES}
+    if name in ANALYSED:
+        commands.update({command: (file,) for command, file in ANALYSIS_FILES.items()})
+    digests = {}
+    for command, files in commands.items():
+        outdir = workdir / f"{cfg_path.stem}-{command}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, str(cfg_path), "--outdir", str(outdir)])
+        if code != 0:
+            raise RuntimeError(f"fald {command} on golden config {name} exited {code}")
+        for file in files:
+            digests[file] = hashlib.sha256((outdir / file).read_bytes()).hexdigest()
+    return digests
+
+
+def load_pins() -> dict:
+    return json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="compute, check or rewrite the golden digests")
+    parser.add_argument("--write", action="store_true", help=f"overwrite {DIGEST_FILE.name}")
+    args = parser.parse_args(argv)
+    os.environ["FALD_THREADS"] = "1"
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: output_digests(name, Path(tmp)) for name in GOLDEN_CONFIGS}
+    if args.write:
+        pins = dict(platform_facts(), digests=digests)
+        DIGEST_FILE.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {DIGEST_FILE}")
+        return 0
+    pinned = load_pins()["digests"]
+    changed = [f"{n}/{f}" for n in digests for f in digests[n] if pinned.get(n, {}).get(f) != digests[n][f]]
+    print("\n".join(changed) if changed else "all golden digests match")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
