@@ -1,9 +1,9 @@
 """Config-driven command-line front end.
 
 Subcommands: gen-data, run, sweep, bounds, privacy, plan.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure.  FALD_THREADS caps the
-number of worker processes (0 or unset = all CPUs); the emitted CSV bytes are
-identical for every thread count.
+0 success, 2 configuration error, 3 numeric failure or a dead worker
+process.  FALD_THREADS caps the number of worker processes (0 or unset =
+all CPUs); the emitted CSV bytes are identical for every thread count.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -72,7 +74,7 @@ def build_model(cfg: ExperimentConfig, alpha: Optional[float] = None):
     if cfg.model == "gaussian":
         sigma = cfg.sigma if cfg.sigma is not None else np.eye(cfg.dimension)
         spec = model_mod.gen_gaussian_federation(
-            cfg.n_clients, alpha, cfg.points_per_client, sigma, cfg.seed, tau=cfg.tau or 1.0
+            cfg.n_clients, alpha, cfg.points_per_client, sigma, cfg.seed, tau=cfg.tau
         )
         return spec, None, None
     spec, test_x, test_y = model_mod.gen_logistic_federation(
@@ -83,7 +85,7 @@ def build_model(cfg: ExperimentConfig, alpha: Optional[float] = None):
         cfg.n_classes,
         cfg.seed,
         ridge=cfg.ridge,
-        tau=cfg.tau or 1.0,
+        tau=cfg.tau,
         n_test=cfg.n_test,
     )
     return spec, test_x, test_y
@@ -107,18 +109,15 @@ def build_run_config(
 ) -> RunConfig:
     require(cfg, "horizon")
     if cfg.schedule == "decaying":
-        consts = model_constants(cfg, spec)
-        schedule = DecayingStep(consts.L, consts.m)
+        schedule = DecayingStep(*model_mod.smoothness(spec))
     else:
         eta = cfg.eta if eta is None else eta
         if eta is None:
             raise ConfigError("fixed schedule requires an eta")
         schedule = FixedStep(eta)
     scheme = scheme_spec if scheme_spec is not None else _scheme(cfg.scheme, cfg.s_devices)
-    return RunConfig.for_model(
-        spec,
+    return RunConfig(
         local_steps=cfg.k_local if k_local is None else k_local,
-        tau=cfg.tau,
         rho=cfg.rho if rho is None else rho,
         schedule=schedule,
         scheme=scheme,
@@ -129,21 +128,13 @@ def build_run_config(
     )
 
 
-# keyed by id() with the spec kept alive in the value so ids cannot be reused
-_CONSTANTS_CACHE: dict = {}
-
-
 def model_constants(cfg: ExperimentConfig, spec) -> model_mod.EnergyConstants:
-    hit = _CONSTANTS_CACHE.get(id(spec))
-    if hit is not None and hit[0] is spec:
-        return hit[1]
+    """Energy constants, with D taken from the distance of init to the minimizer."""
     d = spec.dim
     init = np.asarray(cfg.init) if cfg.init is not None else np.zeros(d)
-    star = model_mod.constants(spec, 0.0, subsample_ratio=1.0).theta_star
-    radius = float(np.linalg.norm(init - star))
-    consts = model_mod.constants(spec, radius, subsample_ratio=cfg.subsample_ratio, seed=cfg.seed)
-    _CONSTANTS_CACHE[id(spec)] = (spec, consts)
-    return consts
+    consts = model_mod.constants(spec, 0.0, subsample_ratio=cfg.subsample_ratio, seed=cfg.seed)
+    radius = float(np.linalg.norm(init - consts.theta_star))
+    return replace(consts, D=radius / np.sqrt(d))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +185,27 @@ def smoothed_first_crossing(rounds, values, eps: float, window: int = T_EPS_SMOO
     return math.inf
 
 
-def t_eps_of_rows(rows, eps: float):
-    rounds = [row[0] for row in rows]
-    w2 = [row[1] for row in rows]
-    return smoothed_first_crossing(rounds, w2, eps)
+def t_eps_of_rows(rows, eps: float, K: int):
+    """(rounds, iterations) until the smoothed W2 curve first reaches eps."""
+    t_round = smoothed_first_crossing([row[0] for row in rows], [row[1] for row in rows], eps)
+    return t_round, t_round * K if math.isfinite(t_round) else math.inf
+
+
+def metric_curves(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test_y):
+    """(header, rows, {metric: (rounds, values)}) of one run's records.
+
+    Gaussian runs chart W2 only; logistic runs chart every metric column.
+    """
+    if cfg.model == "gaussian":
+        header = ["round", "w2", "w2_mean", "w2_cov"]
+        rows = gaussian_metric_rows(records, model_mod.target_posterior(spec))
+        charted = header[1:2]
+    else:
+        header = ["round", "accuracy", "brier", "ece"]
+        rows = logistic_metric_rows(cfg, spec, records, test_x, test_y)
+        charted = header[1:]
+    curves = {name: ([r[0] for r in rows], [r[i + 1] for r in rows]) for i, name in enumerate(charted)}
+    return header, rows, curves
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +236,10 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     spec, test_x, test_y = build_model(cfg)
     run_cfg = build_run_config(cfg, spec)
     if isinstance(run_cfg.schedule, FixedStep) and cfg.model == "gaussian":
-        consts = model_constants(cfg, spec)
-        if run_cfg.schedule.eta > 1.0 / (2.0 * consts.L):
+        L, _ = model_mod.smoothness(spec)
+        if run_cfg.schedule.eta > 1.0 / (2.0 * L):
             print(
-                f"warning: eta = {run_cfg.schedule.eta:g} exceeds 1/(2L) = {1.0 / (2.0 * consts.L):g}; "
+                f"warning: eta = {run_cfg.schedule.eta:g} exceeds 1/(2L) = {1.0 / (2.0 * L):g}; "
                 "convergence bounds do not apply",
                 file=sys.stderr,
             )
@@ -246,34 +254,19 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     )
 
     summary_pairs = [("model", cfg.model), ("rounds", records.shape[1] - 1)]
+    header, rows, curves = metric_curves(cfg, spec, records, test_x, test_y)
+    write_csv(outdir / "run_metrics.csv", header, rows)
+    series = [(name, *curve) for name, curve in curves.items()]
     if cfg.model == "gaussian":
-        rows = gaussian_metric_rows(records, model_mod.target_posterior(spec))
-        write_csv(outdir / "run_metrics.csv", ["round", "w2", "w2_mean", "w2_cov"], rows)
-        svg = line_chart(
-            [("w2", [r[0] for r in rows], [r[1] for r in rows])],
-            "sampling error by communication round",
-            "communication round",
-            "W2",
-            log_y=True,
-        )
-        (outdir / "run_metrics.svg").write_text(svg, encoding="utf-8")
+        svg = line_chart(series, "sampling error by communication round", "communication round", "W2", log_y=True)
         tail = max(1, len(rows) // 4)
         summary_pairs.append(("plateau_w2", float(np.mean([r[1] for r in rows[-tail:]]))))
         if cfg.target_eps is not None:
-            t_round = t_eps_of_rows(rows, cfg.target_eps)
-            summary_pairs.append(("t_eps_rounds", t_round))
-            summary_pairs.append(
-                ("t_eps_iterations", t_round * run_cfg.local_steps if math.isfinite(t_round) else math.inf)
-            )
+            t_round, t_iter = t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)
+            summary_pairs += [("t_eps_rounds", t_round), ("t_eps_iterations", t_iter)]
     else:
-        rows = logistic_metric_rows(cfg, spec, records, test_x, test_y)
-        write_csv(outdir / "run_metrics.csv", ["round", "accuracy", "brier", "ece"], rows)
-        series = [
-            (name, [r[0] for r in rows], [r[i + 1] for r in rows])
-            for i, name in enumerate(("accuracy", "brier", "ece"))
-        ]
         svg = line_chart(series, "predictive metrics by communication round", "communication round", "value")
-        (outdir / "run_metrics.svg").write_text(svg, encoding="utf-8")
+    (outdir / "run_metrics.svg").write_text(svg, encoding="utf-8")
     write_keyvalues(outdir / "summary.txt", summary_pairs)
     print(f"wrote {outdir / 'run_metrics.csv'}")
     return 0
@@ -314,23 +307,13 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
             if cfg.target_eps is not None:
                 t_eps_rows.append((label, math.inf, math.inf))
             continue
-        if cfg.model == "gaussian":
-            rows = gaussian_metric_rows(records, model_mod.target_posterior(point_spec))
-            for r, w2, w2_mean, w2_cov in rows:
-                long_rows.append((label, r, "w2", w2))
-            curves.setdefault("w2", []).append((label, [r[0] for r in rows], [r[1] for r in rows]))
-            if cfg.target_eps is not None:
-                t_round = t_eps_of_rows(rows, cfg.target_eps)
-                t_iter = t_round * run_cfg.local_steps if math.isfinite(t_round) else math.inf
-                t_eps_rows.append((label, t_round, t_iter))
-        else:
-            rows = logistic_metric_rows(cfg, point_spec, records, test_x, test_y)
-            for r, acc, brier, ece in rows:
-                long_rows.append((label, r, "accuracy", acc))
-                long_rows.append((label, r, "brier", brier))
-                long_rows.append((label, r, "ece", ece))
-            for i, name in enumerate(("accuracy", "brier", "ece")):
-                curves.setdefault(name, []).append((label, [r[0] for r in rows], [r[i + 1] for r in rows]))
+        _, rows, point_curves = metric_curves(cfg, point_spec, records, test_x, test_y)
+        for i, row in enumerate(rows):
+            long_rows += [(label, row[0], name, values[i]) for name, (_, values) in point_curves.items()]
+        for name, curve in point_curves.items():
+            curves.setdefault(name, []).append((label, *curve))
+        if cfg.model == "gaussian" and cfg.target_eps is not None:
+            t_eps_rows.append((label, *t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)))
 
     write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], long_rows)
     for name, series in curves.items():
@@ -358,7 +341,6 @@ def _bound_inputs(cfg: ExperimentConfig, spec, run_cfg: RunConfig) -> theory.Bou
         rho=run_cfg.rho,
         N=cfg.n_clients,
         min_pc=float(np.min(spec.data.weights)),
-        S=getattr(run_cfg.scheme, "s", None),
         scheme=run_cfg.scheme,
         eta=run_cfg.schedule.eta if isinstance(run_cfg.schedule, FixedStep) else None,
     )
@@ -491,6 +473,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as err:
+        print(f"error: a worker process died ({err}); FALD_THREADS=1 runs without workers", file=sys.stderr)
+        return 3
     except (ChainDivergenceError, theory.TheoryError, privacy.PrivacyError,
             model_mod.ModelError, metrics.MetricsError, engine.EngineError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model as model_mod
 from .model import GaussianModelSpec, LogisticModelSpec, subsample_size
-from .streams import SHARED, Stream, key_grid, normals_for_keys, uniforms_for_keys
+from .streams import SHARED, key_grid, normals_for_keys, uniforms_for_keys
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -47,6 +47,7 @@ class ChainDivergenceError(RuntimeError):
         self.replication = replication
         self.iteration = iteration
         self.client = client
+        self.value = value
         self.kind = kind
         if kind == "nan":
             msg = (
@@ -60,6 +61,10 @@ class ChainDivergenceError(RuntimeError):
                 "consider reducing the step size eta"
             )
         super().__init__(msg)
+
+    def __reduce__(self):
+        # rebuild from the constructor arguments so the error crosses process pools
+        return type(self), (self.replication, self.iteration, self.client, self.value, self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +95,13 @@ class DecayingStep:
 Schedule = Union[FixedStep, DecayingStep]
 
 
-def step_size(schedule: Schedule, k: int) -> float:
+def step_size(schedule: Schedule, k):
+    """eta_k at iteration k; an array of iterations gives one step size each."""
     if isinstance(schedule, FixedStep):
-        return schedule.eta
+        return schedule.eta if np.ndim(k) == 0 else np.full(np.shape(k), schedule.eta)
     if isinstance(schedule, DecayingStep):
         return 1.0 / (2.0 * schedule.L + schedule.m * k / 12.0)
     raise EngineError(f"unknown schedule {schedule!r}")
-
-
-def _step_sizes(schedule: Schedule, T: int) -> np.ndarray:
-    if isinstance(schedule, FixedStep):
-        return np.full(T, schedule.eta)
-    return 1.0 / (2.0 * schedule.L + schedule.m * np.arange(T) / 12.0)
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,13 @@ Scheme = Union[FullDevice, SchemeI, SchemeII]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One complete chain description; see module docstring for semantics."""
+    """One complete chain description; see module docstring for semantics.
 
-    n_clients: int
-    weights: np.ndarray
+    The federation (client count and weights) and the temperature tau belong
+    to the model the chain runs on.
+    """
+
     local_steps: int
-    tau: float
     rho: float
     schedule: Schedule
     scheme: Scheme = field(default_factory=FullDevice)
@@ -143,44 +144,14 @@ class RunConfig:
     init: Optional[np.ndarray] = None  # (d,) or (n_clients, d); default all-zero
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise EngineError("n_clients must be >= 1")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.n_clients,) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise EngineError("weights must be positive and sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", w)
         if self.local_steps < 1:
             raise EngineError("local_steps must be >= 1")
-        if self.tau < 0:
-            raise EngineError("tau must be nonnegative")
         if not 0.0 <= self.rho <= 1.0:
             raise EngineError("rho must lie in [0, 1]")
         if not 0.0 < self.subsample_ratio <= 1.0:
             raise EngineError("subsample_ratio must lie in (0, 1]")
         if self.horizon < 1 or self.horizon % self.local_steps != 0:
             raise EngineError("horizon must be a positive multiple of local_steps")
-        if isinstance(self.scheme, (SchemeI, SchemeII)):
-            if not 1 <= self.scheme.s <= self.n_clients:
-                raise EngineError("partial schemes need 1 <= S <= n_clients")
-        if isinstance(self.scheme, SchemeII) and np.max(np.abs(w - w[0])) > 1e-12:
-            raise EngineError("scheme II requires balanced client weights")
-
-    @staticmethod
-    def for_model(model, **kwargs) -> "RunConfig":
-        return RunConfig(n_clients=model.data.n_clients, weights=model.data.weights, **kwargs)
-
-    @property
-    def rounds(self) -> int:
-        return self.horizon // self.local_steps
-
-
-@dataclass
-class ChainState:
-    """Per-client states of one chain at one iteration."""
-
-    thetas: np.ndarray  # (n_clients, d)
-    iteration: int
-    replication: int
 
 
 @dataclass
@@ -192,7 +163,7 @@ class Trajectory:
     iterations: np.ndarray  # r * K
     thetas: np.ndarray  # (rounds + 1, d)
     etas: np.ndarray  # step size used in the last local step of each round
-    final_state: Optional[ChainState] = None
+    final_thetas: Optional[np.ndarray] = None  # (n_clients, d) after the last iteration
     client_states: Optional[np.ndarray] = None  # (T + 1, n_clients, d) when recorded
 
 
@@ -207,110 +178,91 @@ class BlockResult:
 
 
 # ---------------------------------------------------------------------------
-# elementary operations (singled out so tests can drive them directly)
+# the operations of one step; the engine runs exactly these
 
 
-def injected_noise(shared: Stream, private: Stream, eta, tau, rho, p_c, dim) -> np.ndarray:
+def injected_noise(shared, private, eta, tau, rho, weights) -> np.ndarray:
     """sqrt(2 eta tau rho^2) shared + sqrt(2 eta tau (1-rho^2)/p_c) private.
 
-    Both streams are always consumed, even at rho in {0, 1}, matching the
-    engine's fixed draw layout.
+    ``shared`` (..., 1, d) holds the normals common to all clients and
+    ``private`` (..., N, d) one row per client; ``weights`` are the N client
+    weights p_c.  ``eta`` is a scalar or an array broadcasting against the
+    (..., N, d) result, such as one step size per iteration shaped (T, 1, 1).
+    Both terms are formed even at rho in {0, 1}, so the engine always draws
+    both sets of normals and its stream layout does not depend on rho.
     """
-    if eta <= 0 or tau < 0 or not 0 <= rho <= 1 or not 0 < p_c <= 1:
+    eta = np.asarray(eta, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(eta <= 0) or tau < 0 or not 0 <= rho <= 1 or np.any(weights <= 0) or np.any(weights > 1):
         raise EngineError("invalid noise parameters")
-    a = np.sqrt(2.0 * eta * tau * rho * rho)
-    b = np.sqrt(2.0 * eta * tau * (1.0 - rho * rho) / p_c)
-    return a * shared.normals(dim) + b * private.normals(dim)
+    shared_scale = np.sqrt(2.0 * eta * tau * rho * rho)
+    private_scale = np.sqrt(2.0 * eta * tau * (1.0 - rho * rho) / weights[:, None])
+    noise = private_scale * private
+    noise += shared_scale * shared
+    return noise
 
 
-def local_step(theta_c: np.ndarray, grad_estimate: np.ndarray, noise: np.ndarray, eta: float) -> np.ndarray:
+def local_step(theta, grad_estimate, noise, eta) -> np.ndarray:
     """theta - eta * gradient estimate + injected noise."""
-    return theta_c - eta * grad_estimate + noise
+    return theta - eta * grad_estimate + noise
 
 
-def sample_devices(scheme: Scheme, weights: np.ndarray, stream: Stream) -> np.ndarray:
-    """Participating client indices for one synchronization.
+def sample_devices(scheme: Scheme, weights: np.ndarray, keys) -> np.ndarray:
+    """Participating client indices at one synchronization, one row per stream key.
 
-    Scheme I returns S categorical draws by weight (duplicates possible);
-    scheme II returns a uniform without-replacement subset, sorted.
+    Scheme I makes S categorical draws by weight (duplicates possible);
+    scheme II takes a uniform without-replacement subset, sorted.  Output
+    shape keys.shape + (S,).
     """
     n = len(weights)
     if isinstance(scheme, SchemeI):
-        u = stream.uniforms(scheme.s)
-        idx = np.searchsorted(np.cumsum(weights), u, side="right")
-        return np.minimum(idx, n - 1)
+        u = uniforms_for_keys(keys, scheme.s)
+        idx = np.searchsorted(np.cumsum(weights), u.ravel(), side="right")
+        return np.minimum(idx, n - 1).reshape(u.shape)
     if isinstance(scheme, SchemeII):
         if scheme.s > n:
             raise EngineError("scheme II cannot select more devices than exist")
-        u = stream.uniforms(n)
-        return np.sort(np.argsort(u, kind="stable")[: scheme.s])
+        u = uniforms_for_keys(keys, n)
+        return np.sort(np.argsort(u, kind="stable", axis=-1)[..., : scheme.s], axis=-1)
     raise EngineError("sample_devices requires a partial scheme")
 
 
-def _participation_weights(scheme, weights, sampled) -> np.ndarray:
+def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=None) -> np.ndarray:
+    """Aggregate client states: sum_c p_c beta^c (full) or (1/S) sum over sampled.
+
+    ``betas`` is (..., N, d) and ``sampled`` the (..., S) output of
+    `sample_devices`.  Clients are accumulated in index order, so the result
+    does not depend on how the leading axes are batched.
+    """
     if isinstance(scheme, FullDevice):
-        return weights
-    w = np.zeros(len(weights))
-    np.add.at(w, np.asarray(sampled), 1.0 / scheme.s)
-    return w
-
-
-def _weighted_client_sum(w: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """sum_c w[..., c] * betas[..., c, :] accumulated in client order."""
+        w = np.broadcast_to(weights, betas.shape[:-1])
+    else:
+        sampled = np.asarray(sampled)
+        w = np.zeros(betas.shape[:-1])
+        np.add.at(w, (*np.indices(sampled.shape)[:-1], sampled), 1.0 / scheme.s)
     out = w[..., 0, None] * betas[..., 0, :]
     for c in range(1, betas.shape[-2]):
         out = out + w[..., c, None] * betas[..., c, :]
     return out
 
 
-def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=None) -> np.ndarray:
-    """Aggregate client states: sum_c p_c beta^c (full) or (1/S) sum over sampled."""
-    w = _participation_weights(scheme, weights, sampled)
-    return _weighted_client_sum(w, betas)
-
-
 # ---------------------------------------------------------------------------
 # chain execution
 
 
-def _client_tags(n: int):
-    return list(range(n))
-
-
-def _noise_scales(eta, tau, rho, weights):
-    shared_scale = np.sqrt(2.0 * eta * tau * rho * rho)
-    private_scale = np.sqrt(2.0 * eta * tau * (1.0 - rho * rho) / weights)
-    return shared_scale, private_scale
-
-
-def _grads(model, cfg: RunConfig, thetas: np.ndarray, sub_keys) -> np.ndarray:
+def _grads(model, q: float, thetas: np.ndarray, sub_keys) -> np.ndarray:
     """Gradient estimates for all clients; thetas (B, N, d) -> (B, N, d)."""
-    B, N, d = thetas.shape
-    q = cfg.subsample_ratio
-    if isinstance(model, GaussianModelSpec):
-        if q == 1.0:
-            return model_mod.gaussian_client_grads(model, thetas)
-        out = np.empty_like(thetas)
-        for c in range(N):
-            n_c = model.data.clients[c].shape[0]
-            size = subsample_size(q, n_c)
-            u = uniforms_for_keys(sub_keys[:, c], n_c)
-            idx = np.argsort(u, kind="stable", axis=-1)[:, :size]
+    gaussian = isinstance(model, GaussianModelSpec)
+    if gaussian and q == 1.0:
+        return model_mod.gaussian_client_grads(model, thetas)
+    out = np.empty_like(thetas)
+    for c, n_c in enumerate(model.data.counts.tolist()):
+        idx = None if q == 1.0 else model_mod.subsample_indices(sub_keys[:, c], n_c, subsample_size(q, n_c))
+        if gaussian:
             out[:, c, :] = model_mod.gaussian_client_grad_subset(model, c, thetas[:, c, :], idx, q)
-        return out
-    if isinstance(model, LogisticModelSpec):
-        out = np.empty_like(thetas)
-        for c in range(N):
-            if q == 1.0:
-                out[:, c, :] = model_mod.logistic_client_grad(model, c, thetas[:, c, :])
-            else:
-                n_c = model.data.clients[c].shape[0]
-                size = subsample_size(q, n_c)
-                u = uniforms_for_keys(sub_keys[:, c], n_c)
-                idx = np.argsort(u, kind="stable", axis=-1)[:, :size]
-                out[:, c, :] = model_mod.logistic_client_grad(model, c, thetas[:, c, :], idx=idx, q=q)
-        return out
-    raise EngineError(f"unsupported model type {type(model).__name__}")
+        else:
+            out[:, c, :] = model_mod.logistic_client_grad(model, c, thetas[:, c, :], idx=idx, q=q)
+    return out
 
 
 def _check_state(thetas, reps, iteration):
@@ -324,39 +276,49 @@ def _check_state(thetas, reps, iteration):
         raise ChainDivergenceError(int(reps[b]), iteration, int(c), worst)
 
 
-def _initial_thetas(cfg: RunConfig, d: int, B: int) -> np.ndarray:
+def _check_model(cfg: RunConfig, model) -> None:
+    """Checks that need both the run config and the model's federation."""
+    if not isinstance(model, (GaussianModelSpec, LogisticModelSpec)):
+        raise EngineError(f"unsupported model type {type(model).__name__}")
+    w = model.data.weights
+    if isinstance(cfg.scheme, (SchemeI, SchemeII)) and not 1 <= cfg.scheme.s <= len(w):
+        raise EngineError("partial schemes need 1 <= S <= n_clients")
+    if isinstance(cfg.scheme, SchemeII) and np.max(np.abs(w - w[0])) > 1e-12:
+        raise EngineError("scheme II requires balanced client weights")
+
+
+def _initial_thetas(cfg: RunConfig, N: int, d: int, B: int) -> np.ndarray:
     if cfg.init is None:
-        return np.zeros((B, cfg.n_clients, d))
+        return np.zeros((B, N, d))
     init = np.asarray(cfg.init, dtype=np.float64)
     if init.shape == (d,):
-        init = np.broadcast_to(init, (cfg.n_clients, d))
-    if init.shape != (cfg.n_clients, d):
-        raise EngineError(f"init must have shape ({d},) or ({cfg.n_clients}, {d})")
-    return np.broadcast_to(init, (B, cfg.n_clients, d)).copy()
+        init = np.broadcast_to(init, (N, d))
+    if init.shape != (N, d):
+        raise EngineError(f"init must have shape ({d},) or ({N}, {d})")
+    return np.broadcast_to(init, (B, N, d)).copy()
 
 
 def run_block(cfg: RunConfig, model, replications, record_client_states: bool = False) -> BlockResult:
     """Run a batch of chains in lockstep; bit-identical to running them one by one."""
-    if model.data.n_clients != cfg.n_clients or np.max(np.abs(model.data.weights - cfg.weights)) > 1e-12:
-        raise EngineError("config weights do not match the model's federation")
+    _check_model(cfg, model)
     reps = np.asarray(list(replications), dtype=np.int64)
-    B = len(reps)
-    N, d, T, K = cfg.n_clients, model.dim, cfg.horizon, cfg.local_steps
-    tau, rho, q = cfg.tau, cfg.rho, cfg.subsample_ratio
-    etas = _step_sizes(cfg.schedule, T)
-    thetas = _initial_thetas(cfg, d, B)
+    weights = model.data.weights
+    B, N, d = len(reps), len(weights), model.dim
+    T, K, q, seed = cfg.horizon, cfg.local_steps, cfg.subsample_ratio, cfg.master_seed
+    etas = step_size(cfg.schedule, np.arange(T))
+    thetas = _initial_thetas(cfg, N, d, B)
 
     n_rounds = T // K
     records = np.empty((B, n_rounds + 1, d))
     etas_used = np.empty(n_rounds + 1)
-    records[:, 0, :] = _weighted_client_sum(np.broadcast_to(cfg.weights, (B, N)), thetas)
+    records[:, 0, :] = synchronize(thetas, weights, FullDevice())
     etas_used[0] = etas[0]
     states = None
     if record_client_states:
         states = np.empty((B, T + 1, N, d))
         states[:, 0] = thetas
 
-    tags = _client_tags(N)
+    clients = list(range(N))
     pair_cols = 2 * ((d + 1) // 2)
     block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, B * (N + 1) * pair_cols)))
     partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
@@ -364,42 +326,31 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
     for k0 in range(0, T, block):
         k1 = min(T, k0 + block)
         iters = np.arange(k0, k1)
-        priv_keys = key_grid(cfg.master_seed, reps, iters, tags, _NOISE_PURPOSE)
-        priv = normals_for_keys(priv_keys, d)  # (B, block, N, d)
-        shared_keys = key_grid(cfg.master_seed, reps, iters, [SHARED], _NOISE_PURPOSE)
-        shared = normals_for_keys(shared_keys, d)  # (B, block, 1, d)
+        shared = normals_for_keys(key_grid(seed, reps, iters, [SHARED], _NOISE_PURPOSE), d)
+        # (B, block, N, d); the private normals are dropped once scaled
+        noise = injected_noise(
+            shared,
+            normals_for_keys(key_grid(seed, reps, iters, clients, _NOISE_PURPOSE), d),
+            etas[k0:k1, None, None],
+            model.tau,
+            cfg.rho,
+            weights,
+        )
         sub_keys = None
         if q < 1.0:
-            sub_keys = key_grid(cfg.master_seed, reps, iters, tags, _SUBSAMPLE_PURPOSE)
+            sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE)
 
-        eta = None
         for kb, k in enumerate(range(k0, k1)):
-            if eta != float(etas[k]):
-                eta = float(etas[k])
-                shared_scale, private_scale = _noise_scales(eta, tau, rho, cfg.weights)
-            grads = _grads(model, cfg, thetas, sub_keys[:, kb] if sub_keys is not None else None)
-            # composed exactly like injected_noise + local_step so single-step
-            # replays through those ops are bit-identical
-            noise = shared_scale * shared[:, kb] + private_scale[:, None] * priv[:, kb]
-            thetas = thetas - eta * grads + noise
+            eta = float(etas[k])
+            grads = _grads(model, q, thetas, sub_keys[:, kb] if sub_keys is not None else None)
+            thetas = local_step(thetas, grads, noise[:, kb], eta)
             _check_state(thetas, reps, k)
             if (k + 1) % K == 0:
+                sampled = None
                 if partial:
-                    dev_keys = key_grid(cfg.master_seed, reps, [k + 1], [SHARED], _DEVICE_PURPOSE)[:, 0, 0]
-                    w = np.zeros((B, N))
-                    rows = np.repeat(np.arange(B), cfg.scheme.s)
-                    if isinstance(cfg.scheme, SchemeI):
-                        u = uniforms_for_keys(dev_keys, cfg.scheme.s)
-                        chosen = np.minimum(
-                            np.searchsorted(np.cumsum(cfg.weights), u.ravel(), side="right"), N - 1
-                        )
-                    else:
-                        u = uniforms_for_keys(dev_keys, N)
-                        chosen = np.sort(np.argsort(u, kind="stable", axis=-1)[:, : cfg.scheme.s], axis=-1).ravel()
-                    np.add.at(w, (rows, chosen), 1.0 / cfg.scheme.s)
-                else:
-                    w = np.broadcast_to(cfg.weights, (B, N))
-                theta_bar = _weighted_client_sum(w, thetas)
+                    dev_keys = key_grid(seed, reps, [k + 1], [SHARED], _DEVICE_PURPOSE)[:, 0, 0]
+                    sampled = sample_devices(cfg.scheme, weights, dev_keys)
+                theta_bar = synchronize(thetas, weights, cfg.scheme, sampled)
                 thetas = np.broadcast_to(theta_bar[:, None, :], (B, N, d)).copy()
                 r = (k + 1) // K
                 records[:, r, :] = theta_bar
@@ -425,11 +376,9 @@ def run_chain(cfg: RunConfig, model, replication: int, record_client_states: boo
         iterations=rounds * cfg.local_steps,
         thetas=out.records[0],
         etas=out.etas_used,
-        final_state=ChainState(out.final_thetas[0], cfg.horizon, replication),
+        final_thetas=out.final_thetas[0],
         client_states=out.client_states[0] if record_client_states else None,
     )
-
-
 def _block_task(args):
     cfg, model, rep_slice = args
     return run_block(cfg, model, rep_slice).records

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .streams import Stream
+from .streams import uniforms_for_keys
 
 
 class ModelError(ValueError):
@@ -89,9 +89,6 @@ class FederatedDataset:
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ModelError("client weights must sum to 1 within 1e-12")
 
-    def is_balanced(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.weights - self.weights[0])) <= tol)
-
 
 def _check_spd(sigma: np.ndarray, what: str = "sigma") -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -118,8 +115,8 @@ class GaussianModelSpec:
         self.data.validate()
         if self.data.dim != self.sigma.shape[0]:
             raise ModelError("data dimension does not match sigma")
-        if self.tau <= 0:
-            raise ModelError("tau must be positive")
+        if self.tau < 0:
+            raise ModelError("tau must be nonnegative")
         object.__setattr__(self, "sigma_inv", np.linalg.inv(self.sigma))
         object.__setattr__(
             self, "client_means", np.stack([c.mean(axis=0) for c in self.data.clients])
@@ -149,8 +146,8 @@ class LogisticModelSpec:
             raise ModelError("logistic model requires labeled data")
         if self.ridge <= 0:
             raise ModelError("ridge must be > 0 so the energy is strongly convex")
-        if self.tau <= 0:
-            raise ModelError("tau must be positive")
+        if self.tau < 0:
+            raise ModelError("tau must be nonnegative")
         n_classes = self.n_classes
         max_label = max(int(l.max()) for l in self.data.labels)
         if n_classes == 0:
@@ -307,25 +304,28 @@ def subsample_size(q: float, n_c: int) -> int:
     return max(1, int(np.floor(q * n_c)))
 
 
-def subsample_indices(stream: Stream, n_c: int, size: int) -> np.ndarray:
-    """Uniform without-replacement subset, chosen by ranking stream uniforms."""
-    keys = stream.uniforms(n_c)
-    return np.argsort(keys, kind="stable")[:size]
+def subsample_indices(keys, n_c: int, size: int) -> np.ndarray:
+    """Uniform without-replacement subsets of range(n_c), one per stream key.
+
+    Each subset takes the ``size`` smallest of the key's first n_c uniforms
+    (stable ranking); output shape keys.shape + (size,).
+    """
+    u = uniforms_for_keys(keys, n_c)
+    return np.argsort(u, kind="stable", axis=-1)[..., :size]
 
 
-def client_grad_stochastic(model, c: int, theta: np.ndarray, q: float, stream: Stream) -> np.ndarray:
+def client_grad_stochastic(model, c: int, theta: np.ndarray, q: float, key: int) -> np.ndarray:
     """Minibatch gradient (1/(q p_c)) sum_{i in S} grad l(theta; x_{c,i}).
 
     S is a uniform without-replacement subset of size floor(q n_c) (>= 1),
-    drawn from ``stream``; unbiased for `client_grad` whenever q n_c is an
-    integer.  q = 1 returns exactly the exact gradient.
+    drawn from the stream with key ``key``; unbiased for `client_grad`
+    whenever q n_c is an integer.  q = 1 returns exactly the exact gradient.
     """
     theta = _check_theta(model, theta)
     n_c = model.data.clients[c].shape[0]
     if q == 1.0:
         return client_grad(model, c, theta)
-    size = subsample_size(q, n_c)
-    idx = subsample_indices(stream, n_c, size)
+    idx = subsample_indices(key, n_c, subsample_size(q, n_c))
     if isinstance(model, GaussianModelSpec):
         return gaussian_client_grad_subset(model, c, theta[None, :], idx[None, :], q)[0]
     if isinstance(model, LogisticModelSpec):
@@ -430,6 +430,21 @@ def energy(model, theta: np.ndarray) -> float:
 # constants and the closed-form target
 
 
+def smoothness(model):
+    """Closed-form smoothness and strong-convexity constants (L, m) of f."""
+    n = model.data.total_points
+    if isinstance(model, GaussianModelSpec):
+        eigvals = np.linalg.eigvalsh(model.sigma_inv)
+        return n * float(eigvals[-1]), n * float(eigvals[0])
+    if isinstance(model, LogisticModelSpec):
+        L = 0.0
+        for c, x in enumerate(model.data.clients):
+            lam = float(np.linalg.eigvalsh(x.T @ x)[-1])
+            L = max(L, (0.5 * lam + x.shape[0] * model.ridge) / model.data.weights[c])
+        return L, n * model.ridge
+    raise ModelError(f"unsupported model type {type(model).__name__}")
+
+
 def constants(
     model,
     theta0_radius: float,
@@ -448,22 +463,11 @@ def constants(
     """
     if theta0_radius < 0:
         raise ModelError("theta0_radius must be nonnegative")
+    L, m = smoothness(model)
     if isinstance(model, GaussianModelSpec):
-        n = model.data.total_points
-        eigvals = np.linalg.eigvalsh(model.sigma_inv)
-        L = n * float(eigvals[-1])
-        m = n * float(eigvals[0])
         theta_star = np.concatenate(model.data.clients).mean(axis=0)
-    elif isinstance(model, LogisticModelSpec):
-        n = model.data.total_points
-        L = 0.0
-        for c, x in enumerate(model.data.clients):
-            lam = float(np.linalg.eigvalsh(x.T @ x)[-1])
-            L = max(L, (0.5 * lam + x.shape[0] * model.ridge) / model.data.weights[c])
-        m = n * model.ridge
-        theta_star = _newton_minimize(model)
     else:
-        raise ModelError(f"unsupported model type {type(model).__name__}")
+        theta_star = _newton_minimize(model)
 
     gamma_het = max(
         float(np.linalg.norm(client_grad(model, c, theta_star)))
@@ -493,8 +497,8 @@ def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> fl
             exact = client_grad(model, c, theta)
             sq = 0.0
             for draw in range(mc_draws):
-                stream = Stream(seed + 7919 * (p * 104729 + c * 1299709 + draw))
-                g = client_grad_stochastic(model, c, theta, q, stream)
+                key = seed + 7919 * (p * 104729 + c * 1299709 + draw)
+                g = client_grad_stochastic(model, c, theta, q, key)
                 sq += float(np.sum((g - exact) ** 2))
             worst = max(worst, sq / mc_draws / d)
     return float(np.sqrt(1.5 * worst))
@@ -533,7 +537,11 @@ def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int
 
 
 def target_posterior(model):
-    """Closed-form posterior N(mean of all points, tau/n * sigma) of the Gaussian model."""
+    """Closed-form posterior N(mean of all points, tau/n * sigma) of the Gaussian model.
+
+    At tau = 0 the covariance vanishes: the target is the point mass at the
+    minimizer, which a noiseless chain approaches.
+    """
     from .metrics import GaussianSummary
 
     if not isinstance(model, GaussianModelSpec):

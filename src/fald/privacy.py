@@ -39,7 +39,6 @@ class DpParams:
     K: int
     T: int
     N: int
-    S: Optional[int] = None
     scheme: Scheme = field(default_factory=FullDevice)
     delta0: float = 1e-5
     delta1: float = 0.0
@@ -64,15 +63,8 @@ class DpParams:
             raise PrivacyError("delta0 must lie in (0, 1)")
         if not 0 <= self.delta1 < 1 or not 0 <= self.delta2 < 1:
             raise PrivacyError("delta1 and delta2 must lie in [0, 1)")
-        if isinstance(self.scheme, (SchemeI, SchemeII)):
-            s = self.scheme.s
-            if self.S is not None and self.S != s:
-                raise PrivacyError("S disagrees with the scheme's device count")
-            object.__setattr__(self, "S", s)
-            if not 1 <= s <= self.N:
-                raise PrivacyError("need 1 <= S <= N")
-        else:
-            object.__setattr__(self, "S", self.N)
+        if isinstance(self.scheme, (SchemeI, SchemeII)) and not 1 <= self.scheme.s <= self.N:
+            raise PrivacyError("need 1 <= S <= N")
 
     @property
     def rounds(self) -> int:
@@ -202,28 +194,27 @@ def compose_rounds_scheme2(
     return DpBudget(eps, delta, clamped)
 
 
-def account(params: DpParams) -> DpBudget:
-    """End-to-end budget: per-step -> K-fold local -> device sampling -> rounds."""
+def _chain(params: DpParams):
+    """Per-step -> K-fold local -> device sampling -> rounds; full device is scheme II at S = N."""
     eps1 = epsilon_one(params)
     local = compose_local(eps1, params.K, params.q, params.delta0, params.delta1)
     scheme = params.scheme if isinstance(params.scheme, (SchemeI, SchemeII)) else SchemeII(params.N)
     amplified = amplify_scheme(
-        local.epsilon, scheme, params.S, params.N, params.K, params.q, params.delta0, params.delta1
+        local.epsilon, scheme, scheme.s, params.N, params.K, params.q, params.delta0, params.delta1
     )
     total = compose_rounds(amplified.epsilon, amplified.delta, params.rounds, params.delta2)
     clamped = local.clamped or amplified.clamped or total.clamped
-    return DpBudget(total.epsilon, total.delta, clamped)
+    return eps1, local, scheme, amplified, DpBudget(total.epsilon, total.delta, clamped)
+
+
+def account(params: DpParams) -> DpBudget:
+    """End-to-end budget: per-step -> K-fold local -> device sampling -> rounds."""
+    return _chain(params)[-1]
 
 
 def account_report(params: DpParams) -> dict:
     """Every intermediate of the accounting chain, for auditable reports."""
-    eps1 = epsilon_one(params)
-    local = compose_local(eps1, params.K, params.q, params.delta0, params.delta1)
-    scheme = params.scheme if isinstance(params.scheme, (SchemeI, SchemeII)) else SchemeII(params.N)
-    amplified = amplify_scheme(
-        local.epsilon, scheme, params.S, params.N, params.K, params.q, params.delta0, params.delta1
-    )
-    total = compose_rounds(amplified.epsilon, amplified.delta, params.rounds, params.delta2)
+    eps1, local, scheme, amplified, total = _chain(params)
     report = {
         "eta_max_dp": eta_max_dp(params),
         "epsilon_1": eps1,
@@ -233,11 +224,11 @@ def account_report(params: DpParams) -> dict:
         "delta_tilde_K": amplified.delta,
         "epsilon_total": total.epsilon,
         "delta_total": total.delta,
-        "delta_clamped": local.clamped or amplified.clamped or total.clamped,
+        "delta_clamped": total.clamped,
     }
     if isinstance(scheme, SchemeII):
         spec = compose_rounds_scheme2(
-            amplified.epsilon, local.epsilon, params.S, params.N, params.T, params.K,
+            amplified.epsilon, local.epsilon, scheme.s, params.N, params.T, params.K,
             amplified.delta, params.delta2,
         )
         report["epsilon_total_scheme2_form"] = spec.epsilon
@@ -260,7 +251,7 @@ def budget_search(
     scheme_type = SchemeII if not isinstance(params.scheme, SchemeI) else SchemeI
     for rho in sorted(rho_grid, reverse=True):
         for S in range(params.N, 0, -1):
-            trial = replace(params, rho=rho, scheme=scheme_type(S), S=S)
+            trial = replace(params, rho=rho, scheme=scheme_type(S))
             if trial.eta > eta_max_dp(trial):
                 continue
             budget = account(trial)

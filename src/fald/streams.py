@@ -103,41 +103,3 @@ def normals_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
     out[..., 1::2] = r * np.sin(angle)
     return out[..., :n]
 
-
-class Stream:
-    """Cursor over one counter-based stream.
-
-    Successive calls consume consecutive positions; a freshly derived stream
-    with the same five identifiers always replays the same sequence.
-    """
-
-    __slots__ = ("key", "_pos")
-
-    def __init__(self, key: int):
-        self.key = int(key)
-        self._pos = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        pos = (np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)) * _U64_GOLDEN
-        self._pos += n
-        bits = _mix64_array(np.uint64(self.key) + pos)
-        return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-    def normals(self, n: int) -> np.ndarray:
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        angle = (2.0 * np.pi) * u[1::2]
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(angle)
-        out[1::2] = r * np.sin(angle)
-        return out[:n]
-
-
-def derive_stream(master_seed, replication, iteration, client_tag, purpose_tag) -> Stream:
-    """Derive the stream for (seed, replication, iteration, client, purpose).
-
-    Using ``client_tag=SHARED`` yields the same stream regardless of which
-    client asks, which is how the noise shared by all clients is realized.
-    """
-    return Stream(stream_key(master_seed, replication, iteration, client_tag, purpose_tag))

@@ -38,7 +38,6 @@ class BoundInputs:
     rho: float
     N: int
     min_pc: float
-    S: Optional[int] = None
     scheme: Scheme = FullDevice()
     eta: Optional[float] = None
 
@@ -68,13 +67,13 @@ class BoundInputs:
         return self.eta
 
 
-def bound_inputs(constants: EnergyConstants, *, tau, d, K, rho, N, min_pc, S=None,
+def bound_inputs(constants: EnergyConstants, *, tau, d, K, rho, N, min_pc,
                  scheme: Scheme = FullDevice(), eta=None) -> BoundInputs:
     """Assemble BoundInputs from computed energy constants plus run parameters."""
     return BoundInputs(
         L=constants.L, m=constants.m, D=constants.D, gamma_het=constants.gamma_het,
         sigma_sg=constants.sigma_sg, tau=tau, d=d, K=K, rho=rho, N=N, min_pc=min_pc,
-        S=S, scheme=scheme, eta=eta,
+        scheme=scheme, eta=eta,
     )
 
 

@@ -104,10 +104,8 @@ def spec_c1():
 
 
 def run_c1(spec, eta, R=None, rounds=None, scheme=None, alpha_spec=None):
-    cfg = RunConfig.for_model(
-        spec,
+    cfg = RunConfig(
         local_steps=C1["K"],
-        tau=C1["tau"],
         rho=0.0,
         schedule=FixedStep(eta),
         scheme=scheme if scheme is not None else FullDevice(),
@@ -147,9 +145,9 @@ def test_criterion_02_sqrt_eta_bias_scaling(spec_c1, c1_result):
     Carlo floor).  For this linear-Gaussian chain the true plateau scales
     ~linearly in eta, so the measured ratio sits near 4, outside the stated
     window; the empirical tail-mean ratio at the pinned R = 200 is floor
-    dominated and sits near 1.  Both are reported.  See the decisions ledger:
-    this criterion encodes the bound's sqrt(eta) worst-case rate, which the
-    quadratic target provably does not realize.
+    dominated and sits near 1.  Both are reported.  The criterion encodes
+    the bound's sqrt(eta) worst-case rate, which the quadratic target
+    provably does not realize.
     """
     _, _, curve_full = c1_result
     records_quarter = run_c1(spec_c1, C1["eta"] / 4)
@@ -249,8 +247,7 @@ def test_criterion_05_optimal_k_u_shape():
     eps = 0.05
     measured = {}
     for k in (1, 5, 10):
-        cfg = RunConfig.for_model(spec_run, local_steps=k, tau=1.0, rho=0.0,
-                                  schedule=FixedStep(2e-4), horizon=3000, master_seed=1)
+        cfg = RunConfig(local_steps=k, rho=0.0, schedule=FixedStep(2e-4), horizon=3000, master_seed=1)
         curve = w2_curve(run_replicated(cfg, spec_run, 100, workers=0), target)
         measured[k] = cli.smoothed_first_crossing(np.arange(len(curve)), curve, eps)
     measured_savings = measured[1] / min(measured.values())
@@ -343,8 +340,6 @@ def test_criterion_10_dp_accountant_properties():
     def eps(**over):
         merged = dict(base)
         merged.update(over)
-        if isinstance(merged.get("scheme"), (SchemeI, SchemeII)):
-            merged["S"] = merged["scheme"].s
         return account(DpParams(**merged)).epsilon
 
     eta_ok = eps(eta=1e-6) < eps(eta=2e-6) < eps(eta=4e-6)
@@ -355,8 +350,8 @@ def test_criterion_10_dp_accountant_properties():
     q_ladder = [eps(q=v) for v in (0.1, 0.2, 0.4)]
     q_ok = q_ladder[0] <= q_ladder[1] <= q_ladder[2]
 
-    s_eq = account(DpParams(**{**base, "scheme": SchemeII(10), "S": 10}))
-    full = account(DpParams(**{**base, "scheme": FullDevice(), "S": None}))
+    s_eq = account(DpParams(**{**base, "scheme": SchemeII(10)}))
+    full = account(DpParams(**{**base, "scheme": FullDevice()}))
     identity_ok = abs(s_eq.epsilon - full.epsilon) < 1e-15
 
     eps_t = 0.005
@@ -367,7 +362,7 @@ def test_criterion_10_dp_accountant_properties():
     import mpmath as mp
     mp.mp.dps = 50
     golden = 2 * mp.sqrt(mp.mpf("1e-4") * mp.log(mp.mpf("1.25e5")) / mp.mpf("0.1"))
-    got = epsilon_one(DpParams(**{**base, "eta": 1e-4, "q": 0.5, "S": 5}))
+    got = epsilon_one(DpParams(**{**base, "eta": 1e-4, "q": 0.5}))
     golden_ok = abs(got - float(golden)) / float(golden) < 1e-12
 
     ok = eta_ok and t_ok and s_ok and q_ok and identity_ok and sqrt2_ok and golden_ok

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,26 @@ def test_divergent_run_exit_code(tmp_path):
     text = RUN_GAUSSIAN.replace("eta = 0.0005", "eta = 50.0")
     path = write_config(tmp_path, text)
     assert run_cli(["run", path, "--outdir", tmp_path]) == 3
+
+
+def test_worker_crash_exit_code(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    monkeypatch.setattr(cli.engine, "run_replicated", crash)
+    path = write_config(tmp_path, RUN_GAUSSIAN)
+    assert run_cli(["run", path, "--outdir", tmp_path]) == 3
+    assert "worker process died" in capsys.readouterr().err
+
+
+def test_zero_temperature_run_targets_point_mass(tmp_path):
+    # a noiseless chain is measured against the point mass, not the tau = 1 posterior
+    path = write_config(tmp_path, RUN_GAUSSIAN.replace("tau = 1.0", "tau = 0.0"))
+    assert run_cli(["run", path, "--outdir", tmp_path]) == 0
+    with open(tmp_path / "run_metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 21
+    assert all(float(r[3]) == 0.0 for r in rows)
 
 
 def test_single_value_sweep_emits_one_curve(tmp_path):

@@ -20,8 +20,14 @@ from fald.engine import (
     step_size,
     synchronize,
 )
-from fald.model import client_grad, energy, gen_gaussian_federation
-from fald.streams import SHARED, derive_stream
+from fald.model import (
+    client_grad,
+    client_grad_stochastic,
+    energy,
+    gen_gaussian_federation,
+    gen_logistic_federation,
+)
+from fald.streams import SHARED, key_grid, normals_for_keys, stream_key
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -33,14 +39,24 @@ def make_spec(n_clients=4, alpha=1.0, points=5, seed=11, tau=1.0):
 def make_cfg(spec, **kwargs):
     defaults = dict(
         local_steps=2,
-        tau=1.0,
         rho=0.0,
         schedule=FixedStep(1e-3),
         horizon=20,
         master_seed=5,
     )
     defaults.update(kwargs)
-    return RunConfig.for_model(spec, **defaults)
+    return RunConfig(**defaults)
+
+
+def noise_normals(seed, rep, iters, clients, dim):
+    """(shared, private) normals of the engine's noise streams, (len(iters), 1 or N, dim)."""
+    shared = normals_for_keys(key_grid(seed, [rep], iters, [SHARED], "noise"), dim)[0]
+    private = normals_for_keys(key_grid(seed, [rep], iters, clients, "noise"), dim)[0]
+    return shared, private
+
+
+def device_keys(seed, rounds):
+    return key_grid(seed, [0], range(rounds), [SHARED], "devices")[0, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +92,22 @@ def test_decaying_strictly_decreasing():
 
 
 def test_zero_temperature_noise_is_zero():
-    noise = injected_noise(
-        derive_stream(0, 0, 0, SHARED, "noise"), derive_stream(0, 0, 0, 0, "noise"),
-        eta=1e-2, tau=0.0, rho=0.5, p_c=0.25, dim=4,
-    )
-    assert np.array_equal(noise, np.zeros(4))
+    shared, private = noise_normals(0, 0, [0], [0], 4)
+    noise = injected_noise(shared, private, eta=1e-2, tau=0.0, rho=0.5, weights=[0.25])
+    assert np.array_equal(noise, np.zeros((1, 1, 4)))
 
 
 def _noise_draws(rho, p_c, eta=1e-2, tau=1.0, draws=100_000, dim=1):
-    out = np.empty((draws, dim))
-    for i in range(draws):
-        out[i] = injected_noise(
-            derive_stream(1, 0, i, SHARED, "noise"), derive_stream(1, 0, i, 0, "noise"),
-            eta, tau, rho, p_c, dim,
-        )
-    return out
+    shared, private = noise_normals(1, 0, range(draws), [0], dim)
+    return injected_noise(shared, private, eta, tau, rho, [p_c])[:, 0]
+
+
+def test_invalid_noise_parameters_rejected():
+    shared, private = noise_normals(0, 0, [0], [0, 1], 2)
+    for eta, tau, rho, weights in ((0.0, 1.0, 0.0, [0.5, 0.5]), (1e-3, -1.0, 0.0, [0.5, 0.5]),
+                                   (1e-3, 1.0, 1.5, [0.5, 0.5]), (1e-3, 1.0, 0.0, [0.0, 1.0])):
+        with pytest.raises(EngineError, match="noise"):
+            injected_noise(shared, private, eta, tau, rho, weights)
 
 
 def test_rho_one_variance_independent_of_weight():
@@ -111,16 +128,9 @@ def test_aggregate_noise_is_standard_gaussian(rho):
     spec = make_spec(n_clients=5, points=3)
     p = spec.data.weights
     eta, tau, draws = 1e-2, 1.0, 100_000
-    scale = np.sqrt(2 * eta * tau)
-    agg = np.zeros(draws)
-    for c in range(5):
-        a = np.sqrt(2 * eta * tau * rho * rho)
-        b = np.sqrt(2 * eta * tau * (1 - rho * rho) / p[c])
-        from fald.streams import key_grid, normals_for_keys
-
-        shared = normals_for_keys(key_grid(1, [0], range(draws), [SHARED], "noise"), 1)[0, :, 0, 0]
-        priv = normals_for_keys(key_grid(1, [0], range(draws), [c], "noise"), 1)[0, :, 0, 0]
-        agg += p[c] * (a * shared + b * priv) / scale
+    shared, private = noise_normals(1, 0, range(draws), range(5), 1)
+    noise = injected_noise(shared, private, eta, tau, rho, p)
+    agg = synchronize(noise, p, FullDevice())[:, 0] / np.sqrt(2 * eta * tau)
     assert 0.98 <= agg.var() <= 1.02
     assert abs(agg.mean()) < 0.02
 
@@ -142,24 +152,21 @@ def test_local_step_arithmetic():
 
 def test_scheme2_full_subset():
     w = np.full(6, 1 / 6)
-    got = sample_devices(SchemeII(6), w, derive_stream(0, 0, 0, SHARED, "devices"))
-    assert sorted(got.tolist()) == list(range(6))
+    got = sample_devices(SchemeII(6), w, device_keys(0, 1))
+    assert got.tolist() == [list(range(6))]
 
 
 def test_scheme1_degenerate_weights():
     w = np.array([1.0, 0.0, 0.0])
-    got = sample_devices(SchemeI(10), w, derive_stream(0, 0, 1, SHARED, "devices"))
-    assert np.all(got == 0)
+    got = sample_devices(SchemeI(10), w, device_keys(0, 2))
+    assert got.shape == (2, 10) and np.all(got == 0)
 
 
 def test_scheme1_frequencies_within_binomial_band():
     n, s, rounds = 8, 3, 100_000
     w = np.full(n, 1 / n)
-    counts = np.zeros(n)
-    for r in range(rounds):
-        got = sample_devices(SchemeI(s), w, derive_stream(3, 0, r, SHARED, "devices"))
-        for c in got:
-            counts[c] += 1
+    got = sample_devices(SchemeI(s), w, device_keys(3, rounds))
+    counts = np.bincount(got.ravel(), minlength=n)
     expected = rounds * s / n
     sd = np.sqrt(rounds * s * (1 / n) * (1 - 1 / n))
     assert np.all(np.abs(counts - expected) <= 3 * sd + 1e-9)
@@ -167,7 +174,7 @@ def test_scheme1_frequencies_within_binomial_band():
 
 def test_scheme2_oversampling_rejected():
     with pytest.raises(EngineError):
-        sample_devices(SchemeII(4), np.full(3, 1 / 3), derive_stream(0, 0, 0, SHARED, "devices"))
+        sample_devices(SchemeII(4), np.full(3, 1 / 3), device_keys(0, 1))
 
 
 def test_synchronize_weighted_average():
@@ -191,11 +198,8 @@ def test_scheme1_resampling_unbiased():
     w /= w.sum()
     betas = rng.standard_normal((n, 1))
     rounds = 100_000
-    total = np.zeros(1)
-    samples = np.empty(rounds)
-    for r in range(rounds):
-        got = sample_devices(SchemeI(s), w, derive_stream(5, 0, r, SHARED, "devices"))
-        samples[r] = synchronize(betas, w, SchemeI(s), sampled=got)[0]
+    got = sample_devices(SchemeI(s), w, device_keys(5, rounds))
+    samples = synchronize(np.broadcast_to(betas, (rounds, n, 1)), w, SchemeI(s), sampled=got)[:, 0]
     expected = float(w @ betas[:, 0])
     band = 4 * samples.std(ddof=1) / np.sqrt(rounds)
     assert abs(samples.mean() - expected) <= band
@@ -206,17 +210,38 @@ def test_scheme1_resampling_unbiased():
 
 
 def test_single_client_chain_matches_handrolled_sgld():
-    spec = make_spec(n_clients=1, points=5, seed=3)
-    cfg = make_cfg(spec, local_steps=1, tau=0.7, rho=0.4, schedule=FixedStep(1e-3), horizon=100, master_seed=9)
+    spec = make_spec(n_clients=1, points=5, seed=3, tau=0.7)
+    cfg = make_cfg(spec, local_steps=1, rho=0.4, schedule=FixedStep(1e-3), horizon=100, master_seed=9)
     traj = run_chain(cfg, spec, replication=2)
     theta = np.zeros(2)
     hand = [theta.copy()]
     for k in range(100):
         grad = client_grad(spec, 0, theta)
-        noise = injected_noise(
-            derive_stream(9, 2, k, SHARED, "noise"), derive_stream(9, 2, k, 0, "noise"),
-            1e-3, 0.7, 0.4, 1.0, 2,
-        )
+        # keys from the scalar reference, one step and one client at a time
+        shared = normals_for_keys(stream_key(9, 2, k, SHARED, "noise"), 2)
+        private = normals_for_keys(stream_key(9, 2, k, 0, "noise"), 2)
+        noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.4, [1.0])[0]
+        theta = local_step(theta, grad, noise, 1e-3)
+        hand.append(theta.copy())
+    assert np.array_equal(np.array(hand), traj.thetas)
+
+
+@pytest.mark.parametrize("oracle", ["gaussian", "logistic"])
+def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
+    # the engine's minibatches are the model's: same keys, same subsets, same bits
+    if oracle == "gaussian":
+        spec = make_spec(n_clients=1, points=8, seed=3, tau=0.7)
+    else:
+        spec = gen_logistic_federation(1, 0.5, 8, 2, 3, seed=3, ridge=0.05, tau=0.7)[0]
+    cfg = make_cfg(spec, local_steps=1, rho=0.3, subsample_ratio=0.5, horizon=20, master_seed=6)
+    traj = run_chain(cfg, spec, replication=1)
+    theta = np.zeros(spec.dim)
+    hand = [theta.copy()]
+    for k in range(20):
+        grad = client_grad_stochastic(spec, 0, theta, 0.5, stream_key(6, 1, k, 0, "subsample"))
+        shared = normals_for_keys(stream_key(6, 1, k, SHARED, "noise"), spec.dim)
+        private = normals_for_keys(stream_key(6, 1, k, 0, "noise"), spec.dim)
+        noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.3, [1.0])[0]
         theta = local_step(theta, grad, noise, 1e-3)
         hand.append(theta.copy())
     assert np.array_equal(np.array(hand), traj.thetas)
@@ -232,12 +257,11 @@ def test_k1_reduction_matches_direct_iterate():
     hand = [synchronize(thetas, p, FullDevice())]
     for k in range(50):
         betas = np.empty_like(thetas)
+        shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
         for c in range(4):
             grad = client_grad(spec, c, thetas[c])
-            noise = injected_noise(
-                derive_stream(4, 1, k, SHARED, "noise"), derive_stream(4, 1, k, c, "noise"),
-                5e-4, 1.0, 0.25, p[c], 2,
-            )
+            private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
+            noise = injected_noise(shared[None], private[None], 5e-4, 1.0, 0.25, p[c:c + 1])[0]
             betas[c] = local_step(thetas[c], grad, noise, 5e-4)
         bar = synchronize(betas, p, FullDevice())
         thetas = np.broadcast_to(bar, (4, 2)).copy()
@@ -246,19 +270,19 @@ def test_k1_reduction_matches_direct_iterate():
 
 
 def test_zero_temperature_chain_descends_energy():
-    spec = make_spec(n_clients=3, points=5, seed=6)
+    spec = make_spec(n_clients=3, points=5, seed=6, tau=0.0)
     L = spec.data.total_points * float(np.linalg.eigvalsh(np.linalg.inv(REF_SIGMA))[-1])
-    cfg = make_cfg(spec, tau=0.0, local_steps=1, schedule=FixedStep(0.9 / L), horizon=30, init=np.array([2.0, -1.0]))
+    cfg = make_cfg(spec, local_steps=1, schedule=FixedStep(0.9 / L), horizon=30, init=np.array([2.0, -1.0]))
     traj = run_chain(cfg, spec, 0)
     values = [energy(spec, traj.thetas[r]) for r in range(31)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_zero_temperature_ignores_randomness():
-    spec = make_spec(n_clients=2, points=4)
+    spec = make_spec(n_clients=2, points=4, tau=0.0)
     recs = []
     for rep in (0, 1, 7):
-        cfg = make_cfg(spec, tau=0.0, horizon=20)
+        cfg = make_cfg(spec, horizon=20)
         recs.append(run_chain(cfg, spec, rep).thetas)
     assert np.array_equal(recs[0], recs[1])
     assert np.array_equal(recs[0], recs[2])
@@ -318,17 +342,42 @@ def test_run_replicated_slices_match_run_chain():
         assert np.array_equal(records[rep], run_chain(cfg, spec, rep).thetas)
 
 
-def test_concurrent_equals_sequential():
-    spec = make_spec()
-    cfg = make_cfg(spec, horizon=30, local_steps=3)
+# one config per engine path: oracle x minibatch ratio x device scheme
+def _path_spec(oracle):
+    if oracle == "logistic":
+        return gen_logistic_federation(4, 0.5, 6, 2, 3, seed=8, ridge=0.05, tau=0.7)[0]
+    return make_spec(tau=0.7)
+
+
+PATHS = [
+    ("gaussian", 1.0, FullDevice()),
+    ("gaussian", 0.5, FullDevice()),
+    ("gaussian", 0.5, SchemeI(2)),
+    ("gaussian", 1.0, SchemeII(2)),
+    ("logistic", 1.0, FullDevice()),
+    ("logistic", 0.5, SchemeI(2)),
+    ("logistic", 0.5, SchemeII(2)),
+]
+PATH_IDS = [f"{o}-q{q}-{type(s).__name__}" for o, q, s in PATHS]
+
+
+def _path_case(oracle, q, scheme, horizon=30):
+    spec = _path_spec(oracle)
+    cfg = make_cfg(spec, horizon=horizon, local_steps=3, rho=0.3, subsample_ratio=q, scheme=scheme)
+    return spec, cfg
+
+
+@pytest.mark.parametrize("oracle,q,scheme", PATHS, ids=PATH_IDS)
+def test_concurrent_equals_sequential(oracle, q, scheme):
+    spec, cfg = _path_case(oracle, q, scheme, horizon=12 if oracle == "logistic" else 30)
     seq = run_replicated(cfg, spec, 6, workers=1)
     conc = run_replicated(cfg, spec, 6, workers=3)
     assert np.array_equal(seq, conc)
 
 
-def test_block_partition_invariance():
-    spec = make_spec()
-    cfg = make_cfg(spec, horizon=30, local_steps=3)
+@pytest.mark.parametrize("oracle,q,scheme", PATHS, ids=PATH_IDS)
+def test_block_partition_invariance(oracle, q, scheme):
+    spec, cfg = _path_case(oracle, q, scheme)
     whole = run_block(cfg, spec, range(4)).records
     parts = np.concatenate(
         [run_block(cfg, spec, [0]).records, run_block(cfg, spec, [1, 2, 3]).records]
@@ -342,10 +391,27 @@ def test_replication_count_validated():
         run_replicated(make_cfg(spec), spec, 1)
 
 
-def test_divergence_guard_reports_location():
-    spec = make_spec(n_clients=2, points=4)
+def _diverging_case():
+    spec = make_spec(n_clients=2, points=4, tau=0.5)
     L = spec.data.total_points * float(np.linalg.eigvalsh(np.linalg.inv(REF_SIGMA))[-1])
-    cfg = make_cfg(spec, schedule=FixedStep(10.0 / L), horizon=4000, local_steps=1, tau=0.0,
+    return spec, make_cfg(spec, schedule=FixedStep(10.0 / L), horizon=4000, local_steps=1, init=np.ones(2))
+
+
+def test_divergence_crosses_process_pool():
+    spec, cfg = _diverging_case()
+    with pytest.raises(ChainDivergenceError) as seq:
+        run_replicated(cfg, spec, 4, workers=1)
+    with pytest.raises(ChainDivergenceError) as conc:
+        run_replicated(cfg, spec, 4, workers=2)
+    assert (conc.value.replication, conc.value.iteration, conc.value.client) == (
+        seq.value.replication, seq.value.iteration, seq.value.client)
+    assert str(conc.value) == str(seq.value)
+
+
+def test_divergence_guard_reports_location():
+    spec = make_spec(n_clients=2, points=4, tau=0.0)
+    L = spec.data.total_points * float(np.linalg.eigvalsh(np.linalg.inv(REF_SIGMA))[-1])
+    cfg = make_cfg(spec, schedule=FixedStep(10.0 / L), horizon=4000, local_steps=1,
                    init=np.array([1.0, 1.0]))
     with pytest.raises(ChainDivergenceError, match="reducing the step size"):
         run_chain(cfg, spec, 0)
@@ -369,14 +435,16 @@ def test_config_validation():
     spec = make_spec(n_clients=3, points=4)
     with pytest.raises(EngineError, match="multiple"):
         make_cfg(spec, horizon=21, local_steps=2)
-    with pytest.raises(EngineError, match="balanced"):
-        unbalanced = gen_gaussian_federation(2, 0.0, [3, 5], REF_SIGMA, 0)
-        RunConfig.for_model(unbalanced, local_steps=1, tau=1.0, rho=0.0,
-                            schedule=FixedStep(1e-3), horizon=4, scheme=SchemeII(1))
     with pytest.raises(EngineError, match="rho"):
         make_cfg(spec, rho=1.5)
+    # checks against the federation run when the chain starts
+    unbalanced = gen_gaussian_federation(2, 0.0, [3, 5], REF_SIGMA, 0)
+    with pytest.raises(EngineError, match="balanced"):
+        run_chain(make_cfg(unbalanced, local_steps=1, horizon=4, scheme=SchemeII(1)), unbalanced, 0)
     with pytest.raises(EngineError, match="S"):
-        make_cfg(spec, scheme=SchemeI(9))
+        run_chain(make_cfg(spec, scheme=SchemeI(9)), spec, 0)
+    with pytest.raises(EngineError, match="init"):
+        run_chain(make_cfg(spec, init=np.zeros(3)), spec, 0)
 
 
 def test_trajectory_rounds_and_eta_metadata():
@@ -386,5 +454,4 @@ def test_trajectory_rounds_and_eta_metadata():
     assert traj.rounds.tolist() == [0, 1, 2, 3, 4]
     assert traj.iterations.tolist() == [0, 5, 10, 15, 20]
     assert np.all(traj.etas == 1e-3)
-    assert traj.final_state.iteration == 20
-    assert traj.final_state.thetas.shape == (4, 2)
+    assert traj.final_thetas.shape == (4, 2)

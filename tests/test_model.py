@@ -14,9 +14,11 @@ from fald.model import (
     load_dataset_csv,
     predict_proba,
     save_dataset_csv,
+    smoothness,
+    subsample_indices,
     target_posterior,
 )
-from fald.streams import derive_stream
+from fald.streams import key_grid, stream_key
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -152,8 +154,19 @@ def test_non_finite_theta_rejected():
 def test_full_batch_equals_exact():
     spec = make_spec(points=6)
     theta = np.array([0.3, -0.2])
-    s = derive_stream(0, 0, 0, 0, "subsample")
-    assert np.array_equal(client_grad_stochastic(spec, 0, theta, 1.0, s), client_grad(spec, 0, theta))
+    key = stream_key(0, 0, 0, 0, "subsample")
+    assert np.array_equal(client_grad_stochastic(spec, 0, theta, 1.0, key), client_grad(spec, 0, theta))
+
+
+def test_subsample_indices_batch_matches_single_keys():
+    keys = key_grid(3, [0, 1], range(5), [0], "subsample")[..., 0]
+    batch = subsample_indices(keys, 8, 4)
+    assert batch.shape == (2, 5, 4)
+    for i in range(2):
+        for k in range(5):
+            single = subsample_indices(stream_key(3, i, k, 0, "subsample"), 8, 4)
+            assert np.array_equal(batch[i, k], single)
+            assert len(set(single.tolist())) == 4 and 0 <= single.min() and single.max() < 8
 
 
 def test_stochastic_gradient_unbiased():
@@ -163,8 +176,8 @@ def test_stochastic_gradient_unbiased():
     draws = 100_000
     samples = np.empty((draws, 2))
     for i in range(draws):
-        s = derive_stream(123, 0, i, 0, "subsample")
-        samples[i] = client_grad_stochastic(spec, 0, theta, 0.5, s)
+        key = stream_key(123, 0, i, 0, "subsample")
+        samples[i] = client_grad_stochastic(spec, 0, theta, 0.5, key)
     err = samples.mean(axis=0) - exact
     band = 4.0 * samples.std(axis=0, ddof=1) / np.sqrt(draws)
     assert np.all(np.abs(err) <= band)
@@ -178,8 +191,8 @@ def test_stochastic_second_moment_within_reported_scale():
     draws = 20_000
     exact = client_grad(spec, 0, theta)
     for i in range(draws):
-        s = derive_stream(7, 0, i, 0, "subsample")
-        g = client_grad_stochastic(spec, 0, theta, 0.5, s)
+        key = stream_key(7, 0, i, 0, "subsample")
+        g = client_grad_stochastic(spec, 0, theta, 0.5, key)
         sq += float(np.sum((g - exact) ** 2))
     assert sq / draws <= consts.sigma_sg ** 2 * spec.dim
 
@@ -197,6 +210,13 @@ def test_kappa_matches_symbolic_eigenvalues():
         assert consts.kappa == pytest.approx(17 + 12 * np.sqrt(2), rel=1e-12)
         n = spec.data.total_points
         assert consts.L == pytest.approx(n * (3 + 2 * np.sqrt(2)), rel=1e-12)
+
+
+def test_closed_form_smoothness_matches_constants():
+    logistic, _, _ = gen_logistic_federation(2, 0.3, 12, 2, 3, seed=5, ridge=0.1)
+    for spec in (make_spec(), logistic):
+        consts = constants(spec, 0.0)
+        assert smoothness(spec) == (consts.L, consts.m)
 
 
 def test_identical_clients_have_zero_heterogeneity():
@@ -286,6 +306,18 @@ def test_temperature_scales_posterior_covariance():
     cold = target_posterior(make_spec(tau=1.0))
     hot = target_posterior(make_spec(tau=2.0))
     assert np.allclose(hot.cov, 2.0 * cold.cov)
+
+
+def test_zero_temperature_posterior_is_point_mass():
+    spec = make_spec(tau=0.0)
+    post = target_posterior(spec)
+    assert np.array_equal(post.cov, np.zeros((2, 2)))
+    assert np.allclose(post.mean, constants(spec, 0.0).theta_star)
+
+
+def test_negative_temperature_rejected():
+    with pytest.raises(ModelError, match="tau"):
+        make_spec(tau=-0.5)
 
 
 def test_posterior_requires_gaussian_model():

@@ -28,8 +28,6 @@ DESK = dict(delta_l=1.0, q=0.1, eta=5e-6, tau=1.0, rho=0.0, min_pc=0.1,
 def desk(**over):
     merged = dict(DESK)
     merged.update(over)
-    if "scheme" in over and isinstance(over["scheme"], (SchemeI, SchemeII)):
-        merged.setdefault("S", over["scheme"].s)
     return DpParams(**merged)
 
 
@@ -285,7 +283,7 @@ def test_budget_search_matches_exhaustive_enumeration():
 
     for rho in DEFAULT_RHO_GRID:
         for S in range(1, params.N + 1):
-            trial = replace(params, rho=rho, scheme=SchemeII(S), S=S)
+            trial = replace(params, rho=rho, scheme=SchemeII(S))
             if trial.eta > eta_max_dp(trial):
                 continue
             budget = account(trial)
@@ -303,5 +301,5 @@ def test_budget_search_respects_admissibility():
     found = budget_search(math.inf, 1.0, params)
     assert found is not None
     rho, s = found
-    trial = replace(params, rho=rho, scheme=SchemeII(s), S=s)
+    trial = replace(params, rho=rho, scheme=SchemeII(s))
     assert trial.eta <= eta_max_dp(trial)

@@ -180,7 +180,7 @@ def test_round_factor_increasing_and_at_least_two():
 
 
 def test_partial_scheme2_all_devices_recovers_full_structure():
-    inp = BoundInputs(**DESK, S=10, scheme=SchemeII(10))
+    inp = BoundInputs(**DESK, scheme=SchemeII(10))
     full_k2 = bound_partial(inp, 0)
     # C_S = 0 removes the bias term; what remains is the full bound with K^2
     kappa = DESK["L"] / DESK["m"]
@@ -193,7 +193,7 @@ def test_partial_scheme2_all_devices_recovers_full_structure():
 def test_partial_rho_one_minimizes_participation_noise():
     values = {}
     for rho in (0.0, 0.5, 1.0):
-        inp = BoundInputs(**dict(DESK, rho=rho), S=5, scheme=SchemeI(5))
+        inp = BoundInputs(**dict(DESK, rho=rho), scheme=SchemeI(5))
         values[rho] = bound_partial(inp, 10**7)
     assert values[1.0] < values[0.5] < values[0.0]
 
@@ -207,8 +207,8 @@ def test_scheme_factors():
 
 def test_scheme2_bound_never_above_scheme1():
     for s in (1, 3, 5, 9, 10):
-        b1 = bound_partial(BoundInputs(**DESK, S=s, scheme=SchemeI(s)), 100)
-        b2 = bound_partial(BoundInputs(**DESK, S=s, scheme=SchemeII(s)), 100)
+        b1 = bound_partial(BoundInputs(**DESK, scheme=SchemeI(s)), 100)
+        b2 = bound_partial(BoundInputs(**DESK, scheme=SchemeII(s)), 100)
         assert b2 <= b1 + 1e-12
         if s == 1:
             assert b2 == pytest.approx(b1, rel=1e-12)
@@ -216,13 +216,13 @@ def test_scheme2_bound_never_above_scheme1():
 
 def test_partial_bound_dominates_full_asymptote():
     full = bound_full_fixed(BoundInputs(**DESK), 10**7)
-    part = bound_partial(BoundInputs(**DESK, S=5, scheme=SchemeI(5)), 10**7)
+    part = bound_partial(BoundInputs(**DESK, scheme=SchemeI(5)), 10**7)
     assert part >= full
 
 
 def test_partial_oversized_s_rejected():
     with pytest.raises(TheoryError):
-        bound_partial(BoundInputs(**DESK, S=11, scheme=SchemeI(11)), 0)
+        bound_partial(BoundInputs(**DESK, scheme=SchemeI(11)), 0)
 
 
 # ---------------------------------------------------------------------------
