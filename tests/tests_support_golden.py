@@ -77,7 +77,7 @@ _ANALYSIS = "delta_l = 1.0\neps_star = 50.0\ndelta_star = 0.5\ntarget_eps = 0.5\
 
 RUN_FILES = ("trajectory.csv", "run_metrics.csv")
 ANALYSIS_FILES = {"plan": "plan.txt", "bounds": "bounds.csv", "privacy": "privacy_report.txt"}
-ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q1")
+ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1")
 
 
 def _configs() -> dict:
