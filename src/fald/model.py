@@ -322,14 +322,19 @@ def client_grad_stochastic(model, c: int, theta: np.ndarray, q: float, key: int)
     whenever q n_c is an integer.  q = 1 returns exactly the exact gradient.
     """
     theta = _check_theta(model, theta)
-    n_c = model.data.clients[c].shape[0]
     if q == 1.0:
         return client_grad(model, c, theta)
-    idx = subsample_indices(key, n_c, subsample_size(q, n_c))
+    return _minibatch_grads(model, c, theta[None, :], np.asarray([key], dtype=np.uint64), q)[0]
+
+
+def _minibatch_grads(model, c: int, thetas: np.ndarray, keys: np.ndarray, q: float) -> np.ndarray:
+    """Minibatch gradients for client c, one subset per key; thetas (B, d), keys (B,)."""
+    n_c = model.data.clients[c].shape[0]
+    idx = subsample_indices(keys, n_c, subsample_size(q, n_c))
     if isinstance(model, GaussianModelSpec):
-        return gaussian_client_grad_subset(model, c, theta[None, :], idx[None, :], q)[0]
+        return gaussian_client_grad_subset(model, c, thetas, idx, q)
     if isinstance(model, LogisticModelSpec):
-        return logistic_client_grad(model, c, theta[None, :], idx=idx, q=q)[0]
+        return logistic_client_grad(model, c, thetas, idx=idx, q=q)
     raise ModelError(f"unsupported model type {type(model).__name__}")
 
 
@@ -486,20 +491,30 @@ def constants(
 
 
 def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> float:
+    """Worst probe/client mean squared minibatch error, one batched oracle call per pair.
+
+    Draw ``draw`` at probe p and client c uses stream key
+    seed + 7919 (p 104729 + c 1299709 + draw); each draw's squared error is
+    summed over coordinates, then accumulated over draws in draw order.
+    """
     if q >= 1.0:
         return 0.0
     d = model.dim
     rng = np.random.default_rng(seed)
+    draws = np.arange(mc_draws, dtype=np.uint64)
     worst = 0.0
     for p in range(probe_points):
         theta = theta_star + rng.standard_normal(d) / np.sqrt(d)
+        thetas = np.broadcast_to(theta, (mc_draws, d))
         for c in range(model.data.n_clients):
             exact = client_grad(model, c, theta)
-            sq = 0.0
-            for draw in range(mc_draws):
-                key = seed + 7919 * (p * 104729 + c * 1299709 + draw)
-                g = client_grad_stochastic(model, c, theta, q, key)
-                sq += float(np.sum((g - exact) ** 2))
+            base = p * 104729 + c * 1299709
+            # both end keys are exact Python ints; converting them raises if
+            # either leaves uint64, so no key in between can wrap
+            first, _ = np.array([seed + 7919 * base, seed + 7919 * (base + mc_draws - 1)], dtype=np.uint64)
+            keys = first + np.uint64(7919) * draws
+            g = _minibatch_grads(model, c, thetas, keys, q)
+            sq = float(np.cumsum(np.sum((g - exact) ** 2, axis=1))[-1])
             worst = max(worst, sq / mc_draws / d)
     return float(np.sqrt(1.5 * worst))
 

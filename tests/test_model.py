@@ -197,6 +197,42 @@ def test_stochastic_second_moment_within_reported_scale():
     assert sq / draws <= consts.sigma_sg ** 2 * spec.dim
 
 
+def scalar_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed):
+    """Independent reference for the sigma_sg estimator: one scalar oracle call per draw."""
+    d = model.dim
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for p in range(probe_points):
+        theta = theta_star + rng.standard_normal(d) / np.sqrt(d)
+        for c in range(model.data.n_clients):
+            exact = client_grad(model, c, theta)
+            sq = 0.0
+            for draw in range(mc_draws):
+                key = seed + 7919 * (p * 104729 + c * 1299709 + draw)
+                g = client_grad_stochastic(model, c, theta, q, key)
+                sq += float(np.sum((g - exact) ** 2))
+            worst = max(worst, sq / mc_draws / d)
+    return float(np.sqrt(1.5 * worst))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5])
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+def test_sigma_sg_matches_scalar_reference(family, q):
+    if family == "gaussian":
+        spec = make_spec(n_clients=10, points=[20] * 9 + [21], seed=6)
+    else:
+        spec, _, _ = gen_logistic_federation(3, 0.5, [9, 12, 10], 2, 3, seed=7, ridge=0.05, n_test=5)
+    consts = constants(spec, 0.0, subsample_ratio=q, probe_points=3, mc_draws=25, seed=13)
+    assert consts.sigma_sg > 0.0
+    assert consts.sigma_sg == scalar_sigma_sg(spec, consts.theta_star, q, 3, 25, 13)
+
+
+def test_sigma_sg_key_overflow_raises():
+    # the first key is 2**64 - 1; the second does not fit in 64 bits
+    with pytest.raises(OverflowError):
+        constants(make_spec(), 0.0, subsample_ratio=0.5, probe_points=1, mc_draws=2, seed=2**64 - 1)
+
+
 # ---------------------------------------------------------------------------
 # constants
 
