@@ -7,6 +7,7 @@ error carries the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -72,9 +73,12 @@ def _parse_int(raw, line):
 
 def _parse_float(raw, line):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_floats(raw, line):
@@ -213,6 +217,8 @@ def _fail(lines, key, message):
 
 
 def _validate(cfg: ExperimentConfig, lines) -> None:
+    if cfg.seed < 0:
+        _fail(lines, "seed", "seed must be >= 0")
     if cfg.n_clients < 1:
         _fail(lines, "n_clients", "n_clients must be >= 1")
     counts = cfg.points_per_client
@@ -279,6 +285,15 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
         for a in cfg.sweep_values:
             if a < 0:
                 _fail(lines, "sweep_values", f"alpha value {a} must be nonnegative")
+    if cfg.model == "logistic":
+        if cfg.n_classes < 2:
+            _fail(lines, "n_classes", "n_classes must be >= 2")
+        if cfg.n_features < 1:
+            _fail(lines, "n_features", "n_features must be >= 1")
+        if cfg.n_test < 1:
+            _fail(lines, "n_test", "n_test must be >= 1")
+        if cfg.ridge <= 0:
+            _fail(lines, "ridge", "ridge must be positive")
     if cfg.init is not None and len(cfg.init) != (
         cfg.dimension if cfg.model == "gaussian" else cfg.n_classes * cfg.n_features
     ):
@@ -289,8 +304,6 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
         _fail(lines, "warmup_rounds", "warmup_rounds must be >= 0")
     if cfg.ece_bins < 1:
         _fail(lines, "ece_bins", "ece_bins must be >= 1")
-    if cfg.model == "logistic" and cfg.ridge <= 0:
-        _fail(lines, "ridge", "ridge must be positive")
 
 
 def require(cfg: ExperimentConfig, *keys: str) -> None:

@@ -108,6 +108,45 @@ def test_bad_scheme_value():
         parse_config(MINIMAL + "scheme = schemeX\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("tau = inf", "line 6: expected a finite number, got 'inf'"),
+        ("tau = nan", "line 6: expected a finite number, got 'nan'"),
+        ("delta_l = nan", "line 6: expected a finite number"),
+        ("target_eps = -inf", "line 6: expected a finite number"),
+        ("init = 0.5, nan", "line 6: expected a finite number, got 'nan'"),
+        ("sweep = eta\nsweep_values = 0.001, inf", "line 7: expected a finite number, got 'inf'"),
+    ],
+    ids=["tau-inf", "tau-nan", "delta_l-nan", "target_eps-inf", "init-nan", "sweep_values-inf"],
+)
+def test_non_finite_numbers_rejected_with_line(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(MINIMAL + line + "\n")
+
+
+LOGISTIC_MINIMAL = "model = logistic\nn_clients = 2\npoints_per_client = 6\nseed = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL.replace("seed = 7", "seed = -1"), "line 5: seed must be >= 0"),
+        (LOGISTIC_MINIMAL + "n_classes = 1\n", "line 5: n_classes must be >= 2"),
+        (LOGISTIC_MINIMAL + "n_features = 0\n", "line 5: n_features must be >= 1"),
+        (LOGISTIC_MINIMAL + "n_test = 0\n", "line 5: n_test must be >= 1"),
+        (MINIMAL + "tau = inf\n", "line 6: expected a finite number"),
+        (MINIMAL + "tau = nan\n", "line 6: expected a finite number"),
+    ],
+    ids=["seed-1", "n_classes1", "n_features0", "n_test0", "tau-inf", "tau-nan"],
+)
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_unhonourable_values_exit_2_with_line(text, message, command, tmp_path, capsys):
+    path = write_config(tmp_path, text)
+    assert run_cli([command, path, "--outdir", tmp_path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# header\n\nn_clients = 1 # trailing\npoints_per_client = 2\nseed = 1\n")
     assert cfg.n_clients == 1
