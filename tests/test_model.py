@@ -221,7 +221,7 @@ def test_sigma_sg_matches_scalar_reference(family, q):
     if family == "gaussian":
         spec = make_spec(n_clients=10, points=[20] * 9 + [21], seed=6)
     else:
-        spec, _, _ = gen_logistic_federation(3, 0.5, [9, 12, 10], 2, 3, seed=7, ridge=0.05, n_test=5)
+        spec, _, _ = gen_logistic_federation(3, 0.5, [9, 12, 10], 3, 3, seed=7, ridge=0.05, n_test=5)
     consts = constants(spec, 0.0, subsample_ratio=q, probe_points=3, mc_draws=25, seed=13)
     assert consts.sigma_sg > 0.0
     assert consts.sigma_sg == scalar_sigma_sg(spec, consts.theta_star, q, 3, 25, 13)
