@@ -89,6 +89,11 @@ def _configs() -> dict:
                 text = base + scheme_lines + f"subsample_ratio = {q}\n"
                 configs[name] = text + (_ANALYSIS if name in ANALYSED else "")
     configs["gaussian-full-decaying"] = _GAUSSIAN + "schedule = decaying\n"
+    # unequal client sizes: the minibatch gradient batches clients per size group
+    configs["gaussian-unequal-scheme1:2-q0.5"] = (
+        _GAUSSIAN.replace("points_per_client = 6", "points_per_client = 5, 6, 6, 8")
+        + "eta = 0.0005\n" + _SCHEMES["scheme1:2"] + "subsample_ratio = 0.5\n"
+    )
     return configs
 
 
