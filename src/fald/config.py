@@ -219,6 +219,9 @@ def _fail(lines, key, message):
 def _validate(cfg: ExperimentConfig, lines) -> None:
     if cfg.seed < 0:
         _fail(lines, "seed", "seed must be >= 0")
+    if cfg.seed >= 2**63:
+        # the sigma_sg stream keys add up to about 1e10 per client to the seed
+        _fail(lines, "seed", "seed must be < 2**63")
     if cfg.n_clients < 1:
         _fail(lines, "n_clients", "n_clients must be >= 1")
     counts = cfg.points_per_client
@@ -304,6 +307,14 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
         _fail(lines, "warmup_rounds", "warmup_rounds must be >= 0")
     if cfg.ece_bins < 1:
         _fail(lines, "ece_bins", "ece_bins must be >= 1")
+    for key in ("target_eps", "delta_l", "eps_star", "delta_star"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) <= 0:
+            _fail(lines, key, f"{key} must be positive")
+    if not 0 < cfg.delta0 < 1:
+        _fail(lines, "delta0", "delta0 must lie in (0, 1)")
+    for key in ("delta1", "delta2"):
+        if not 0 <= getattr(cfg, key) < 1:
+            _fail(lines, key, f"{key} must lie in [0, 1)")
 
 
 def require(cfg: ExperimentConfig, *keys: str) -> None:

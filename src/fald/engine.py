@@ -222,8 +222,7 @@ def sample_devices(scheme: Scheme, weights: np.ndarray, keys) -> np.ndarray:
     if isinstance(scheme, SchemeII):
         if scheme.s > n:
             raise EngineError("scheme II cannot select more devices than exist")
-        u = uniforms_for_keys(keys, n)
-        return np.sort(np.argsort(u, kind="stable", axis=-1)[..., : scheme.s], axis=-1)
+        return np.sort(model_mod.subsample_indices(keys, n, scheme.s), axis=-1)
     raise EngineError("sample_devices requires a partial scheme")
 
 
@@ -250,18 +249,33 @@ def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=
 # chain execution
 
 
-def _grads(model, q: float, thetas: np.ndarray, sub_keys) -> np.ndarray:
-    """Gradient estimates for all clients; thetas (B, N, d) -> (B, N, d)."""
+def _size_groups(model):
+    """(n_c, clients) for each distinct client size; a slice selects them all when sizes agree."""
+    counts = model.data.counts
+    sizes = np.unique(counts)
+    if len(sizes) == 1:
+        return [(int(sizes[0]), slice(None))]
+    return [(int(n_c), np.flatnonzero(counts == n_c)) for n_c in sizes]
+
+
+def _grads(model, q: float, thetas: np.ndarray, sub_keys, groups) -> np.ndarray:
+    """Gradient estimates for all clients; thetas (B, N, d) -> (B, N, d).
+
+    Gaussian minibatches are drawn and evaluated for all clients of one size
+    group at once; ``groups`` is `_size_groups(model)`.
+    """
     gaussian = isinstance(model, GaussianModelSpec)
     if gaussian and q == 1.0:
         return model_mod.gaussian_client_grads(model, thetas)
     out = np.empty_like(thetas)
+    if gaussian:
+        for n_c, cs in groups:
+            idx = model_mod.subsample_indices(sub_keys[:, cs], n_c, subsample_size(q, n_c))
+            out[:, cs] = model_mod.gaussian_client_grad_subset(model, cs, thetas[:, cs], idx, q)
+        return out
     for c, n_c in enumerate(model.data.counts.tolist()):
         idx = None if q == 1.0 else model_mod.subsample_indices(sub_keys[:, c], n_c, subsample_size(q, n_c))
-        if gaussian:
-            out[:, c, :] = model_mod.gaussian_client_grad_subset(model, c, thetas[:, c, :], idx, q)
-        else:
-            out[:, c, :] = model_mod.logistic_client_grad(model, c, thetas[:, c, :], idx=idx, q=q)
+        out[:, c, :] = model_mod.logistic_client_grad(model, c, thetas[:, c, :], idx=idx, q=q)
     return out
 
 
@@ -322,6 +336,7 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
     pair_cols = 2 * ((d + 1) // 2)
     block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, B * (N + 1) * pair_cols)))
     partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
+    groups = _size_groups(model)
 
     for k0 in range(0, T, block):
         k1 = min(T, k0 + block)
@@ -342,7 +357,7 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
 
         for kb, k in enumerate(range(k0, k1)):
             eta = float(etas[k])
-            grads = _grads(model, q, thetas, sub_keys[:, kb] if sub_keys is not None else None)
+            grads = _grads(model, q, thetas, sub_keys[:, kb] if sub_keys is not None else None, groups)
             thetas = local_step(thetas, grads, noise[:, kb], eta)
             _check_state(thetas, reps, k)
             if (k + 1) % K == 0:

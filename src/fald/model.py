@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .streams import uniforms_for_keys
+from .streams import uniform_bits_for_keys
 
 
 class ModelError(ValueError):
@@ -121,6 +121,9 @@ class GaussianModelSpec:
         object.__setattr__(
             self, "client_means", np.stack([c.mean(axis=0) for c in self.data.clients])
         )
+        # every point in client order; client c's rows start at client_starts[c]
+        object.__setattr__(self, "all_points", np.concatenate(self.data.clients))
+        object.__setattr__(self, "client_starts", np.cumsum(self.data.counts) - self.data.counts)
 
     @property
     def dim(self) -> int:
@@ -308,10 +311,26 @@ def subsample_indices(keys, n_c: int, size: int) -> np.ndarray:
     """Uniform without-replacement subsets of range(n_c), one per stream key.
 
     Each subset takes the ``size`` smallest of the key's first n_c uniforms
-    (stable ranking); output shape keys.shape + (size,).
+    in stable ranking order (ties by index); output shape keys.shape + (size,).
     """
-    u = uniforms_for_keys(keys, n_c)
-    return np.argsort(u, kind="stable", axis=-1)[..., :size]
+    return _rank_smallest(uniform_bits_for_keys(keys, n_c), size)
+
+
+def _rank_smallest(bits: np.ndarray, size: int) -> np.ndarray:
+    """``np.argsort(bits, kind="stable", axis=-1)[..., :size]`` for 53-bit uint64 rows.
+
+    Sorts the composite keys (bits << s) | i, which are distinct and order
+    like the stable ranking.  They take 53 + s bits, so rows longer than 2048
+    fall back to the stable argsort.  ``bits`` is overwritten.
+    """
+    n = bits.shape[-1]
+    s = max(1, (n - 1).bit_length())
+    if 53 + s > 64:
+        return np.argsort(bits, kind="stable", axis=-1)[..., :size]
+    bits <<= np.uint64(s)
+    bits |= np.arange(n, dtype=np.uint64)
+    bits.sort(axis=-1)
+    return (bits[..., :size] & np.uint64((1 << s) - 1)).astype(np.int64)
 
 
 def client_grad_stochastic(model, c: int, theta: np.ndarray, q: float, key: int) -> np.ndarray:
@@ -350,17 +369,23 @@ def gaussian_client_grads(model: GaussianModelSpec, thetas: np.ndarray) -> np.nd
 
 
 def gaussian_client_grad_subset(
-    model: GaussianModelSpec, c: int, thetas: np.ndarray, idx: np.ndarray, q: float
+    model: GaussianModelSpec, c, thetas: np.ndarray, idx: np.ndarray, q: float
 ) -> np.ndarray:
-    """Minibatch gradients for client c; thetas (B, d), idx (B, size)."""
-    pts = model.data.clients[c]
-    size = idx.shape[1]
-    ssum = pts[idx[:, 0]]
+    """Minibatch gradients (1/(q p_c)) Sigma^-1 sum_{i in S} (theta - x_{c,i}).
+
+    One client: ``c`` an int, thetas (B, d), idx (B, size).  G clients with
+    equal minibatch size: ``c`` an index array or slice selecting them,
+    thetas (B, G, d), idx (B, G, size).  Minibatch points are summed in idx
+    order.
+    """
+    size = idx.shape[-1]
+    rows = np.moveaxis(idx, -1, 0) + model.client_starts[c]
+    picked = np.take(model.all_points, rows, axis=0)  # (size, B, [G,] d)
+    ssum = picked[0].copy()
     for t in range(1, size):
-        ssum = ssum + pts[idx[:, t]]
-    p_c = model.data.weights[c]
-    scale = 1.0 / (q * p_c)
-    return apply_matrix(scale * (size * thetas - ssum), model.sigma_inv)
+        ssum += picked[t]
+    scale = 1.0 / (q * model.data.weights[c])
+    return apply_matrix(np.asarray(scale)[..., None] * (size * thetas - ssum), model.sigma_inv)
 
 
 def logistic_client_grad(

@@ -80,26 +80,39 @@ def key_grid(master_seed, replications, iterations, client_tags, purpose_tag) ->
     return _mix64_array(h3 ^ np.uint64(_tag_to_u64(purpose_tag)))
 
 
-def uniforms_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """n uniforms in [0, 1) for each key; output shape keys.shape + (n,)."""
+def uniform_bits_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The 53-bit integers u53 behind `uniforms_for_keys`: u = u53 * 2^-53 exactly.
+
+    Integers and uniforms share order and ties, so ranking either gives the
+    same permutation; output is uint64 of shape keys.shape + (n,).
+    """
     pos = (np.arange(1, n + 1, dtype=np.uint64) * _U64_GOLDEN).reshape(
         (1,) * np.ndim(keys) + (n,)
     )
     bits = _mix64_array(np.asarray(keys, dtype=np.uint64)[..., None] + pos)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    bits >>= np.uint64(11)
+    return bits
+
+
+def uniforms_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """n uniforms in [0, 1) for each key; output shape keys.shape + (n,)."""
+    u = uniform_bits_for_keys(keys, n).astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def normals_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """n standard normals per key via Box-Muller; shape keys.shape + (n,)."""
     pairs = (n + 1) // 2
-    u = uniforms_for_keys(keys, 2 * pairs)
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    # 1 - u1 lies in (0, 1], so the log is finite.
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = (2.0 * np.pi) * u2
-    out = np.empty(u.shape, dtype=np.float64)
-    out[..., 0::2] = r * np.cos(angle)
-    out[..., 1::2] = r * np.sin(angle)
+    out = uniforms_for_keys(keys, 2 * pairs)
+    # 1 - u lies in (0, 1], so the log is finite.
+    r = np.log1p(-out[..., 0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = (2.0 * np.pi) * out[..., 1::2]
+    # the uniforms are spent, so the normals overwrite them; the transcendental
+    # kernels keep reading and writing whole contiguous arrays
+    np.multiply(r, np.cos(angle), out=out[..., 0::2])
+    np.multiply(r, np.sin(angle), out=out[..., 1::2])
     return out[..., :n]
 

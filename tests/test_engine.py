@@ -226,23 +226,30 @@ def test_single_client_chain_matches_handrolled_sgld():
     assert np.array_equal(np.array(hand), traj.thetas)
 
 
-@pytest.mark.parametrize("oracle", ["gaussian", "logistic"])
+@pytest.mark.parametrize("oracle", ["gaussian", "gaussian-unequal", "logistic"])
 def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
-    # the engine's minibatches are the model's: same keys, same subsets, same bits
+    # the engine's minibatches are the model's: same keys, same subsets, same bits;
+    # unequal client sizes split the batched Gaussian gradient into size groups
     if oracle == "gaussian":
         spec = make_spec(n_clients=1, points=8, seed=3, tau=0.7)
+    elif oracle == "gaussian-unequal":
+        spec = gen_gaussian_federation(4, 1.0, [8, 5, 8, 3], REF_SIGMA, 3, tau=0.7)
     else:
         spec = gen_logistic_federation(1, 0.5, 8, 2, 3, seed=3, ridge=0.05, tau=0.7)[0]
     cfg = make_cfg(spec, local_steps=1, rho=0.3, subsample_ratio=0.5, horizon=20, master_seed=6)
     traj = run_chain(cfg, spec, replication=1)
+    p = spec.data.weights
     theta = np.zeros(spec.dim)
     hand = [theta.copy()]
     for k in range(20):
-        grad = client_grad_stochastic(spec, 0, theta, 0.5, stream_key(6, 1, k, 0, "subsample"))
         shared = normals_for_keys(stream_key(6, 1, k, SHARED, "noise"), spec.dim)
-        private = normals_for_keys(stream_key(6, 1, k, 0, "noise"), spec.dim)
-        noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.3, [1.0])[0]
-        theta = local_step(theta, grad, noise, 1e-3)
+        betas = np.empty((len(p), spec.dim))
+        for c in range(len(p)):
+            grad = client_grad_stochastic(spec, c, theta, 0.5, stream_key(6, 1, k, c, "subsample"))
+            private = normals_for_keys(stream_key(6, 1, k, c, "noise"), spec.dim)
+            noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.3, p[c:c + 1])[0]
+            betas[c] = local_step(theta, grad, noise, 1e-3)
+        theta = synchronize(betas, p, FullDevice())
         hand.append(theta.copy())
     assert np.array_equal(np.array(hand), traj.thetas)
 
@@ -346,6 +353,8 @@ def test_run_replicated_slices_match_run_chain():
 def _path_spec(oracle):
     if oracle == "logistic":
         return gen_logistic_federation(4, 0.5, 6, 2, 3, seed=8, ridge=0.05, tau=0.7)[0]
+    if oracle == "gaussian-unequal":
+        return gen_gaussian_federation(4, 1.0, [6, 4, 6, 7], REF_SIGMA, 11, tau=0.7)
     return make_spec(tau=0.7)
 
 
@@ -353,6 +362,8 @@ PATHS = [
     ("gaussian", 1.0, FullDevice()),
     ("gaussian", 0.5, FullDevice()),
     ("gaussian", 0.5, SchemeI(2)),
+    ("gaussian-unequal", 0.5, FullDevice()),
+    ("gaussian-unequal", 0.5, SchemeI(2)),
     ("gaussian", 1.0, SchemeII(2)),
     ("logistic", 1.0, FullDevice()),
     ("logistic", 0.5, SchemeI(2)),

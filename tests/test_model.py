@@ -4,11 +4,14 @@ import pytest
 import fald
 from fald.model import (
     FederatedDataset,
+    _rank_smallest,
+    apply_matrix,
     ModelError,
     client_grad,
     client_grad_stochastic,
     constants,
     energy,
+    gaussian_client_grad_subset,
     gen_gaussian_federation,
     gen_logistic_federation,
     load_dataset_csv,
@@ -16,9 +19,10 @@ from fald.model import (
     save_dataset_csv,
     smoothness,
     subsample_indices,
+    subsample_size,
     target_posterior,
 )
-from fald.streams import key_grid, stream_key
+from fald.streams import key_grid, stream_key, uniforms_for_keys
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -167,6 +171,60 @@ def test_subsample_indices_batch_matches_single_keys():
             single = subsample_indices(stream_key(3, i, k, 0, "subsample"), 8, 4)
             assert np.array_equal(batch[i, k], single)
             assert len(set(single.tolist())) == 4 and 0 <= single.min() and single.max() < 8
+
+
+@pytest.mark.parametrize("n_c", [1, 2, 3, 20, 2048, 2049])
+@pytest.mark.parametrize("grid", [(5, 1), (4, 3)], ids=["B", "BxG"])
+def test_subsample_indices_equal_stable_argsort_of_uniforms(n_c, grid):
+    # 2048 is the largest size whose composite keys fit in 64 bits; 2049 takes the fallback
+    keys = key_grid(9, range(grid[0]), [4], range(grid[1]), "subsample")[:, 0]
+    if grid[1] == 1:
+        keys = keys[:, 0]
+    reference = np.argsort(uniforms_for_keys(keys, n_c), kind="stable", axis=-1)
+    for size in sorted({1, subsample_size(0.5, n_c), n_c}):
+        got = subsample_indices(keys, n_c, size)
+        assert got.shape == keys.shape + (size,)
+        assert np.array_equal(got, reference[..., :size])
+
+
+@pytest.mark.parametrize("n", [7, 2048, 2049])
+def test_equal_uniforms_rank_by_index(n):
+    top = (1 << 53) - 1
+    rows = np.array([[5, 3, 5, 3, 0, 5, top], [top, 2, top, 2, 2, 1, 0]], dtype=np.uint64)
+    bits = np.tile(rows, (1, -(-n // 7)))[:, :n]
+    expected = np.argsort(bits, kind="stable", axis=-1)
+    got = _rank_smallest(bits.copy(), n)
+    assert np.array_equal(got, expected)
+    if n == 7:
+        assert got.tolist() == [[4, 1, 3, 0, 2, 5, 6], [6, 5, 1, 3, 4, 0, 2]]
+
+
+def loop_subset_grad(model, c, thetas, idx, q):
+    """Reference: one client, points gathered and added one minibatch slot at a time."""
+    pts = model.data.clients[c]
+    ssum = pts[idx[:, 0]]
+    for t in range(1, idx.shape[1]):
+        ssum = ssum + pts[idx[:, t]]
+    scale = 1.0 / (q * model.data.weights[c])
+    return apply_matrix(scale * (idx.shape[1] * thetas - ssum), model.sigma_inv)
+
+
+def test_gaussian_subset_grad_client_array_matches_single_clients():
+    spec = make_spec(n_clients=4, points=6, seed=2)
+    rng = np.random.default_rng(1)
+    clients = np.array([3, 0, 2])
+    thetas = rng.standard_normal((5, 3, 2))
+    idx = np.stack([rng.permutation(6)[:4] for _ in range(15)]).reshape(5, 3, 4)
+    batched = gaussian_client_grad_subset(spec, clients, thetas, idx, 0.7)
+    for j, c in enumerate(clients):
+        single = gaussian_client_grad_subset(spec, int(c), thetas[:, j], idx[:, j], 0.7)
+        assert np.array_equal(batched[:, j], single)
+        assert np.array_equal(single, loop_subset_grad(spec, c, thetas[:, j], idx[:, j], 0.7))
+        pts = spec.data.clients[c]
+        for b in range(5):
+            resid = (4 * thetas[b, j] - pts[idx[b, j]].sum(axis=0)) / (0.7 * spec.data.weights[c])
+            direct = np.linalg.solve(spec.sigma, resid)
+            assert np.allclose(single[b], direct, rtol=1e-12, atol=1e-12)
 
 
 def test_stochastic_gradient_unbiased():
