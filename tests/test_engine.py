@@ -226,14 +226,16 @@ def test_single_client_chain_matches_handrolled_sgld():
     assert np.array_equal(np.array(hand), traj.thetas)
 
 
-@pytest.mark.parametrize("oracle", ["gaussian", "gaussian-unequal", "logistic"])
+@pytest.mark.parametrize("oracle", ["gaussian", "gaussian-unequal", "logistic", "logistic-unequal"])
 def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
     # the engine's minibatches are the model's: same keys, same subsets, same bits;
-    # unequal client sizes split the batched Gaussian gradient into size groups
+    # unequal client sizes split the batched gradient into size groups
     if oracle == "gaussian":
         spec = make_spec(n_clients=1, points=8, seed=3, tau=0.7)
     elif oracle == "gaussian-unequal":
         spec = gen_gaussian_federation(4, 1.0, [8, 5, 8, 3], REF_SIGMA, 3, tau=0.7)
+    elif oracle == "logistic-unequal":
+        spec = gen_logistic_federation(4, 0.5, [8, 5, 8, 3], 2, 3, seed=3, ridge=0.05, tau=0.7)[0]
     else:
         spec = gen_logistic_federation(1, 0.5, 8, 2, 3, seed=3, ridge=0.05, tau=0.7)[0]
     cfg = make_cfg(spec, local_steps=1, rho=0.3, subsample_ratio=0.5, horizon=20, master_seed=6)
@@ -353,6 +355,8 @@ def test_run_replicated_slices_match_run_chain():
 def _path_spec(oracle):
     if oracle == "logistic":
         return gen_logistic_federation(4, 0.5, 6, 2, 3, seed=8, ridge=0.05, tau=0.7)[0]
+    if oracle == "logistic-unequal":
+        return gen_logistic_federation(4, 0.5, [6, 4, 6, 7], 2, 3, seed=8, ridge=0.05, tau=0.7)[0]
     if oracle == "gaussian-unequal":
         return gen_gaussian_federation(4, 1.0, [6, 4, 6, 7], REF_SIGMA, 11, tau=0.7)
     return make_spec(tau=0.7)
@@ -368,6 +372,8 @@ PATHS = [
     ("logistic", 1.0, FullDevice()),
     ("logistic", 0.5, SchemeI(2)),
     ("logistic", 0.5, SchemeII(2)),
+    ("logistic-unequal", 0.5, FullDevice()),
+    ("logistic-unequal", 0.5, SchemeI(2)),
 ]
 PATH_IDS = [f"{o}-q{q}-{type(s).__name__}" for o, q, s in PATHS]
 
@@ -380,7 +386,7 @@ def _path_case(oracle, q, scheme, horizon=30):
 
 @pytest.mark.parametrize("oracle,q,scheme", PATHS, ids=PATH_IDS)
 def test_concurrent_equals_sequential(oracle, q, scheme):
-    spec, cfg = _path_case(oracle, q, scheme, horizon=12 if oracle == "logistic" else 30)
+    spec, cfg = _path_case(oracle, q, scheme, horizon=12 if oracle.startswith("logistic") else 30)
     seq = run_replicated(cfg, spec, 6, workers=1)
     conc = run_replicated(cfg, spec, 6, workers=3)
     assert np.array_equal(seq, conc)

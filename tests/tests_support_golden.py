@@ -94,6 +94,10 @@ def _configs() -> dict:
         _GAUSSIAN.replace("points_per_client = 6", "points_per_client = 5, 6, 6, 8")
         + "eta = 0.0005\n" + _SCHEMES["scheme1:2"] + "subsample_ratio = 0.5\n"
     )
+    # the same sizes through the softmax oracle, minibatch and full batch
+    unequal_logistic = _LOGISTIC.replace("points_per_client = 8", "points_per_client = 5, 6, 6, 8")
+    configs["logistic-unequal-scheme1:2-q0.5"] = unequal_logistic + _SCHEMES["scheme1:2"] + "subsample_ratio = 0.5\n"
+    configs["logistic-unequal-full-q1"] = unequal_logistic + _SCHEMES["full"] + "subsample_ratio = 1\n"
     return configs
 
 
