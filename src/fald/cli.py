@@ -164,7 +164,7 @@ def logistic_metric_rows(cfg: ExperimentConfig, spec, records: np.ndarray, test_
     for r in range(cfg.warmup_rounds + cfg.collect_every, n_rounds + 1, cfg.collect_every):
         for rep in range(R):
             averager.add(model_mod.predict_proba(spec, records[rep, r, :], test_x))
-        scored = metrics.classification_metrics(averager.records(test_y), cfg.ece_bins)
+        scored = metrics.classification_metrics(averager.mean(), test_y, cfg.ece_bins)
         rows.append((r, scored.accuracy, scored.brier, scored.ece))
     if not rows:
         raise ConfigError(
@@ -331,25 +331,25 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _bound_inputs(cfg: ExperimentConfig, spec, run_cfg: RunConfig) -> theory.BoundInputs:
-    consts = model_constants(cfg, spec)
+def _bound_inputs(cfg: ExperimentConfig, spec, consts, K: int, scheme, eta=None) -> theory.BoundInputs:
     return theory.bound_inputs(
         consts,
         tau=cfg.tau,
         d=spec.dim,
-        K=run_cfg.local_steps,
-        rho=run_cfg.rho,
+        K=K,
+        rho=cfg.rho,
         N=cfg.n_clients,
         min_pc=float(np.min(spec.data.weights)),
-        scheme=run_cfg.scheme,
-        eta=run_cfg.schedule.eta if isinstance(run_cfg.schedule, FixedStep) else None,
+        scheme=scheme,
+        eta=eta,
     )
 
 
 def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
     spec, _, _ = build_model(cfg)
     run_cfg = build_run_config(cfg, spec)
-    inputs = _bound_inputs(cfg, spec, run_cfg)
+    eta = run_cfg.schedule.eta if isinstance(run_cfg.schedule, FixedStep) else None
+    inputs = _bound_inputs(cfg, spec, model_constants(cfg, spec), run_cfg.local_steps, run_cfg.scheme, eta)
     ks = np.arange(0, cfg.horizon + 1, run_cfg.local_steps)
     if isinstance(run_cfg.schedule, DecayingStep):
         evaluate = theory.bound_decaying
@@ -422,17 +422,7 @@ def cmd_plan(cfg: ExperimentConfig, outdir: Path) -> int:
     k_star = theory.optimal_local_steps(consts.kappa)
     pairs.append(("k_star", k_star))
     for label, k in (("configured", cfg.k_local), ("k_star", k_star)):
-        inputs = theory.bound_inputs(
-            consts,
-            tau=cfg.tau,
-            d=spec.dim,
-            K=k,
-            rho=cfg.rho,
-            N=cfg.n_clients,
-            min_pc=float(np.min(spec.data.weights)),
-            scheme=run_scheme,
-        )
-        eta, t_eps, rounds = theory.plan_steps(cfg.target_eps, inputs)
+        eta, t_eps, rounds = theory.plan_steps(cfg.target_eps, _bound_inputs(cfg, spec, consts, k, run_scheme))
         pairs += [
             (f"{label}_k", k),
             (f"{label}_eta", eta),

@@ -261,21 +261,17 @@ def _size_groups(model):
 def _grads(model, q: float, thetas: np.ndarray, sub_keys, groups) -> np.ndarray:
     """Gradient estimates for all clients; thetas (B, N, d) -> (B, N, d).
 
-    Gaussian minibatches are drawn and evaluated for all clients of one size
-    group at once; ``groups`` is `_size_groups(model)`.
+    Minibatches are drawn and evaluated for all clients of one size group at
+    once; ``groups`` is `_size_groups(model)`.  At q = 1 the subset is every
+    point in index order (idx None), except in the Gaussian closed form.
     """
-    gaussian = isinstance(model, GaussianModelSpec)
-    if gaussian and q == 1.0:
+    if q == 1.0 and isinstance(model, GaussianModelSpec):
         return model_mod.gaussian_client_grads(model, thetas)
+    oracle = model_mod.subset_grad_oracle(model)
     out = np.empty_like(thetas)
-    if gaussian:
-        for n_c, cs in groups:
-            idx = model_mod.subsample_indices(sub_keys[:, cs], n_c, subsample_size(q, n_c))
-            out[:, cs] = model_mod.gaussian_client_grad_subset(model, cs, thetas[:, cs], idx, q)
-        return out
-    for c, n_c in enumerate(model.data.counts.tolist()):
-        idx = None if q == 1.0 else model_mod.subsample_indices(sub_keys[:, c], n_c, subsample_size(q, n_c))
-        out[:, c, :] = model_mod.logistic_client_grad(model, c, thetas[:, c, :], idx=idx, q=q)
+    for n_c, cs in groups:
+        idx = None if q == 1.0 else model_mod.subsample_indices(sub_keys[:, cs], n_c, subsample_size(q, n_c))
+        out[:, cs] = oracle(model, cs, thetas[:, cs], idx, q)
     return out
 
 

@@ -8,13 +8,12 @@ provides accuracy, the multiclass Brier score and the expected calibration
 error.
 
 Brier convention: sum of squared differences over all classes, averaged over
-records, so the multiclass value lies in [0, 2].
+test points, so the multiclass value lies in [0, 2].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -106,44 +105,36 @@ def w2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
 
 
 @dataclass(frozen=True)
-class PredictiveRecord:
-    """Averaged class-probability vector and the true label for one test point."""
-
-    probs: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 2:
-            raise MetricsError("probs must be a vector over >= 2 classes")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise MetricsError("probs must be nonnegative and sum to 1 within 1e-9")
-        if not 0 <= int(self.label) < probs.size:
-            raise MetricsError(f"label {self.label} outside 0..{probs.size - 1}")
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
 class ClassificationMetrics:
     accuracy: float
     brier: float
     ece: float
 
 
-def classification_metrics(records: Sequence[PredictiveRecord], ece_bins: int = 10) -> ClassificationMetrics:
+def classification_metrics(probs, labels, ece_bins: int = 10) -> ClassificationMetrics:
     """Accuracy, multiclass Brier score and expected calibration error.
 
-    Argmax ties resolve to the lowest class index.  ECE uses ``ece_bins``
-    equal-width bins over the maximum predicted probability; each confidence
-    lands in bin floor(conf * bins), with conf = 1 in the top bin.
+    ``probs`` (n, C) holds one class-probability row per test point and
+    ``labels`` (n,) the true classes.  Argmax ties resolve to the lowest class
+    index.  ECE uses ``ece_bins`` equal-width bins over the maximum predicted
+    probability; each confidence lands in bin floor(conf * bins), with
+    conf = 1 in the top bin.
     """
-    if len(records) == 0:
-        raise MetricsError("classification_metrics needs at least one record")
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    if probs.ndim != 2 or probs.shape[0] == 0:
+        raise MetricsError("classification_metrics needs a non-empty (n, C) probability matrix")
+    n, n_classes = probs.shape
+    if n_classes < 2:
+        raise MetricsError("probs must cover >= 2 classes")
+    if np.any(probs < 0) or np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
+        raise MetricsError("probs must be nonnegative and each row sum to 1 within 1e-9")
+    if labels.shape != (n,):
+        raise MetricsError("label count does not match probability rows")
+    if not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0) or np.any(labels >= n_classes):
+        raise MetricsError(f"labels must be integers in 0..{n_classes - 1}")
     if ece_bins < 1:
         raise MetricsError("ece_bins must be >= 1")
-    probs = np.stack([r.probs for r in records])
-    labels = np.array([r.label for r in records])
-    n, n_classes = probs.shape
 
     predicted = probs.argmax(axis=1)
     correct = predicted == labels
@@ -184,25 +175,7 @@ class RunningPredictiveAverage:
             self._sum += probs
         self._count += 1
 
-    @property
-    def count(self) -> int:
-        return self._count
-
     def mean(self) -> np.ndarray:
         if self._count == 0:
             raise MetricsError("no probability matrices collected")
         return self._sum / self._count
-
-    def records(self, labels: Sequence[int]) -> List[PredictiveRecord]:
-        mean = self.mean()
-        if mean.shape[0] != len(labels):
-            raise MetricsError("label count does not match probability rows")
-        return [PredictiveRecord(mean[i], int(labels[i])) for i in range(mean.shape[0])]
-
-
-def predictive_average(prob_matrices: Iterable[np.ndarray], labels: Sequence[int]) -> List[PredictiveRecord]:
-    """Average a stream of (n, C) probability matrices into one record per point."""
-    acc = RunningPredictiveAverage()
-    for probs in prob_matrices:
-        acc.add(probs)
-    return acc.records(labels)

@@ -67,6 +67,12 @@ class FederatedDataset:
                     raise ModelError(f"client {i}: labels do not match point count")
         return FederatedDataset(arrays, weights, lab)
 
+    def __post_init__(self):
+        # every point and label in client order; client c's rows start at client_starts[c]
+        object.__setattr__(self, "all_points", np.concatenate(self.clients))
+        object.__setattr__(self, "all_labels", None if self.labels is None else np.concatenate(self.labels))
+        object.__setattr__(self, "client_starts", np.cumsum(self.counts) - self.counts)
+
     @property
     def n_clients(self) -> int:
         return len(self.clients)
@@ -121,9 +127,6 @@ class GaussianModelSpec:
         object.__setattr__(
             self, "client_means", np.stack([c.mean(axis=0) for c in self.data.clients])
         )
-        # every point in client order; client c's rows start at client_starts[c]
-        object.__setattr__(self, "all_points", np.concatenate(self.data.clients))
-        object.__setattr__(self, "client_starts", np.cumsum(self.data.counts) - self.data.counts)
 
     @property
     def dim(self) -> int:
@@ -350,10 +353,15 @@ def _minibatch_grads(model, c: int, thetas: np.ndarray, keys: np.ndarray, q: flo
     """Minibatch gradients for client c, one subset per key; thetas (B, d), keys (B,)."""
     n_c = model.data.clients[c].shape[0]
     idx = subsample_indices(keys, n_c, subsample_size(q, n_c))
+    return subset_grad_oracle(model)(model, c, thetas, idx, q)
+
+
+def subset_grad_oracle(model):
+    """The model's minibatch gradient, called as in `gaussian_client_grad_subset`."""
     if isinstance(model, GaussianModelSpec):
-        return gaussian_client_grad_subset(model, c, thetas, idx, q)
+        return gaussian_client_grad_subset
     if isinstance(model, LogisticModelSpec):
-        return logistic_client_grad(model, c, thetas, idx=idx, q=q)
+        return logistic_client_grad
     raise ModelError(f"unsupported model type {type(model).__name__}")
 
 
@@ -379,8 +387,8 @@ def gaussian_client_grad_subset(
     order.
     """
     size = idx.shape[-1]
-    rows = np.moveaxis(idx, -1, 0) + model.client_starts[c]
-    picked = np.take(model.all_points, rows, axis=0)  # (size, B, [G,] d)
+    rows = np.moveaxis(idx, -1, 0) + model.data.client_starts[c]
+    picked = np.take(model.data.all_points, rows, axis=0)  # (size, B, [G,] d)
     ssum = picked[0].copy()
     for t in range(1, size):
         ssum += picked[t]
@@ -389,50 +397,36 @@ def gaussian_client_grad_subset(
 
 
 def logistic_client_grad(
-    model: LogisticModelSpec, c: int, thetas: np.ndarray, idx: Optional[np.ndarray] = None, q: float = 1.0
+    model: LogisticModelSpec, c, thetas: np.ndarray, idx: Optional[np.ndarray] = None, q: float = 1.0
 ) -> np.ndarray:
-    """(Minibatch) gradients for client c; thetas (B, C*F) -> (B, C*F).
+    """Minibatch gradients (1/(q p_c)) sum_{i in S} grad l(theta; x_{c,i}, y_{c,i}).
 
-    All reductions run in fixed index order so results do not depend on the
-    batch size B.
+    Call forms as `gaussian_client_grad_subset` with d = C*F; idx None takes
+    every point of client c (at q = 1 the exact gradient).  Logits add the
+    feature products in index order and the outer products are added in idx
+    order, so results do not depend on how thetas or clients are batched.
     """
-    x = model.data.clients[c]
-    y = model.data.labels[c]
+    data = model.data
     C, F = model.n_classes, model.n_features
-    B = thetas.shape[0]
-    w = thetas.reshape(B, C, F)
     if idx is None:
-        scale = 1.0 / model.data.weights[c]
-        grads = _softmax_ce_grad(w, x, y) + (model.ridge * x.shape[0]) * w
-    else:
-        scale = 1.0 / (q * model.data.weights[c])
-        grads = np.zeros_like(w)
-        if idx.ndim == 1:
-            idx = np.broadcast_to(idx, (B, idx.shape[0]))
-        for t in range(idx.shape[1]):
-            grads = grads + _softmax_ce_grad(w, x[idx[:, t]][:, None, :], y[idx[:, t]][:, None])
-        grads = grads + (model.ridge * idx.shape[1]) * w
-    return (scale * grads).reshape(B, C * F)
-
-
-def _softmax_ce_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_i (softmax(W x_i) - onehot(y_i)) outer x_i; w (B,C,F), x (n,F) or (B,n,F)."""
-    if x.ndim == 2:
-        x = np.broadcast_to(x, (w.shape[0],) + x.shape)
-        y = np.broadcast_to(y, (w.shape[0], y.shape[0]))
-    B, n, F = x.shape
-    C = w.shape[1]
-    grad = np.zeros((B, C, F))
-    rows = np.arange(B)
-    for i in range(n):
-        xi = x[:, i, :]  # (B, F)
-        logits = np.zeros((B, C))
-        for f in range(F):
-            logits = logits + w[:, :, f] * xi[:, f, None]
-        probs = softmax(logits)
-        probs[rows, y[:, i]] -= 1.0
-        grad = grad + probs[:, :, None] * xi[:, None, :]
-    return grad
+        idx = np.arange(np.ravel(data.counts[c])[0])
+    idx = np.broadcast_to(idx, thetas.shape[:-1] + idx.shape[-1:])
+    size = idx.shape[-1]
+    rows = np.moveaxis(idx, -1, 0) + data.client_starts[c]
+    x = np.take(data.all_points, rows, axis=0)  # (size, B, [G,] F)
+    y = np.take(data.all_labels, rows)  # (size, B, [G])
+    w = thetas.reshape(thetas.shape[:-1] + (C, F))
+    logits = np.zeros(x.shape[:-1] + (C,))
+    for f in range(F):
+        logits += w[..., f] * x[..., f, None]
+    resid = softmax(logits)
+    resid -= y[..., None] == np.arange(C)  # subtract the one-hot labels
+    grads = np.zeros_like(w)
+    for t in range(size):
+        grads += resid[t, ..., None] * x[t, ..., None, :]
+    grads += (model.ridge * size) * w
+    scale = 1.0 / (q * data.weights[c])
+    return np.asarray(scale)[..., None] * grads.reshape(thetas.shape)
 
 
 def energy(model, theta: np.ndarray) -> float:
@@ -495,7 +489,7 @@ def constants(
         raise ModelError("theta0_radius must be nonnegative")
     L, m = smoothness(model)
     if isinstance(model, GaussianModelSpec):
-        theta_star = np.concatenate(model.data.clients).mean(axis=0)
+        theta_star = model.data.all_points.mean(axis=0)
     else:
         theta_star = _newton_minimize(model)
 
@@ -545,14 +539,20 @@ def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> fl
 
 
 def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Damped Newton on the total energy; errors out if it fails to converge."""
+    """Damped Newton on the total energy, then full steps; errors out if it fails to converge.
+
+    Near the minimizer the Armijo decrease falls below the energy's rounding
+    error, so backtracking can accept tiny steps and stall.  Full Newton steps
+    after ``max_iter`` damped ones converge from there and leave every solve
+    that converged while damped unchanged.
+    """
     C, F = model.n_classes, model.n_features
     dim = C * F
     theta = np.zeros(dim)
-    x_all = np.concatenate(model.data.clients)
-    y_all = np.concatenate(model.data.labels)
+    x_all = model.data.all_points
+    y_all = model.data.all_labels
     n = x_all.shape[0]
-    for _ in range(max_iter):
+    for it in range(2 * max_iter):
         w = theta.reshape(C, F)
         probs = softmax(x_all @ w.T)
         resid = probs.copy()
@@ -568,12 +568,13 @@ def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int
             hess += np.kron(s, np.outer(x_all[i], x_all[i]))
         hess += n * model.ridge * np.eye(dim)
         step = np.linalg.solve(hess, grad)
-        f0 = energy(model, theta)
         t = 1.0
-        while t > 1e-8 and energy(model, theta - t * step) > f0 - 1e-4 * t * float(grad @ step):
-            t *= 0.5
+        if it < max_iter:  # damped phase: Armijo backtracking on the energy
+            f0 = energy(model, theta)
+            while t > 1e-8 and energy(model, theta - t * step) > f0 - 1e-4 * t * float(grad @ step):
+                t *= 0.5
         theta = theta - t * step
-    raise ModelError(f"Newton solve did not reach gradient norm {tol} in {max_iter} iterations")
+    raise ModelError(f"Newton solve did not reach gradient norm {tol} in {2 * max_iter} iterations")
 
 
 def target_posterior(model):
@@ -587,7 +588,7 @@ def target_posterior(model):
     if not isinstance(model, GaussianModelSpec):
         raise ModelError("target_posterior is only defined for the Gaussian model")
     n = model.data.total_points
-    mean = np.concatenate(model.data.clients).mean(axis=0)
+    mean = model.data.all_points.mean(axis=0)
     return GaussianSummary(mean=mean, cov=(model.tau / n) * model.sigma)
 
 

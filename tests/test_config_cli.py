@@ -169,6 +169,30 @@ def test_largest_seed_plans_a_minibatch_run(tmp_path):
     assert "k_star = " in (tmp_path / "plan.txt").read_text()
 
 
+NEWTON_STALL = """
+model = logistic
+n_clients = 2
+points_per_client = 40, 3
+n_features = 4
+n_classes = 8
+alpha = 0.5
+seed = 5
+k_local = 2
+eta = 0.0005
+horizon = 20
+target_eps = 0.5
+"""
+
+
+@pytest.mark.parametrize("command,output", [("plan", "plan.txt"), ("bounds", "bounds.csv")])
+def test_newton_solve_survives_rounding_level_line_search(tmp_path, command, output):
+    # on this federation the Armijo decrease falls below the energy's rounding
+    # error before the gradient reaches 1e-10; the solve must still converge
+    path = write_config(tmp_path, NEWTON_STALL)
+    assert run_cli([command, path, "--outdir", tmp_path]) == 0
+    assert (tmp_path / output).exists()
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# header\n\nn_clients = 1 # trailing\npoints_per_client = 2\nseed = 1\n")
     assert cfg.n_clients == 1
@@ -277,8 +301,10 @@ def test_bounds_first_row_matches_theory(tmp_path):
 
     cfg = parse_config_file(path)
     spec, _, _ = cli.build_model(cfg)
-    run_cfg = cli.build_run_config(cfg, spec)
-    inputs = cli._bound_inputs(cfg, spec, run_cfg)
+    inputs = theory.bound_inputs(
+        cli.model_constants(cfg, spec), tau=cfg.tau, d=spec.dim, K=cfg.k_local, rho=cfg.rho,
+        N=cfg.n_clients, min_pc=float(np.min(spec.data.weights)), eta=cfg.eta,
+    )
     assert first == pytest.approx(theory.bound_full_fixed(inputs, 0), rel=1e-12)
 
 

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from fald.metrics import (
     GaussianSummary,
     MetricsError,
-    PredictiveRecord,
     RunningPredictiveAverage,
     classification_metrics,
     empirical_summary,
-    predictive_average,
     sym_sqrt,
     w2_gaussian,
     w2_gaussian_parts,
@@ -165,82 +163,78 @@ def test_w2_parts_decompose_total():
 # classification metrics
 
 
-def one_hot_records(labels, n_classes):
-    out = []
-    for y in labels:
-        p = np.zeros(n_classes)
-        p[y] = 1.0
-        out.append(PredictiveRecord(p, y))
-    return out
+def one_hot(labels, n_classes):
+    return np.eye(n_classes)[labels], np.asarray(labels)
 
 
 def test_perfect_one_hot_predictions():
-    scored = classification_metrics(one_hot_records([0, 1, 2, 1], 3))
+    scored = classification_metrics(*one_hot([0, 1, 2, 1], 3))
     assert scored.accuracy == 1.0
     assert scored.brier == 0.0
     assert scored.ece == pytest.approx(0.0)
 
 
 def test_uniform_binary_brier():
-    records = [PredictiveRecord(np.array([0.5, 0.5]), 0) for _ in range(10)]
-    scored = classification_metrics(records)
+    scored = classification_metrics(np.full((10, 2), 0.5), np.zeros(10, dtype=np.int64))
     assert scored.brier == pytest.approx(0.5)
     assert scored.accuracy == 1.0  # argmax tie resolves to class 0
 
 
 def test_argmax_tie_goes_to_lowest_index():
-    scored = classification_metrics([PredictiveRecord(np.array([0.5, 0.5]), 1)])
+    scored = classification_metrics(np.array([[0.5, 0.5]]), np.array([1]))
     assert scored.accuracy == 0.0
 
 
 def test_calibrated_predictor_low_ece():
-    # construct records whose per-bin accuracy equals the stated confidence
+    # construct predictions whose per-bin accuracy equals the stated confidence
     rng = np.random.default_rng(3)
-    records = []
+    probs = []
     for _ in range(10_000):
         conf = rng.uniform(0.55, 0.95)
         correct = rng.random() < conf
-        probs = np.array([conf, 1 - conf]) if correct else np.array([1 - conf, conf])
-        records.append(PredictiveRecord(probs, 0))
-    scored = classification_metrics(records, ece_bins=10)
+        probs.append([conf, 1 - conf] if correct else [1 - conf, conf])
+    scored = classification_metrics(np.array(probs), np.zeros(len(probs), dtype=np.int64), ece_bins=10)
     assert scored.ece < 0.02
 
 
+def random_predictions(rng, n, n_classes):
+    probs, labels = np.empty((n, n_classes)), np.empty(n, dtype=np.int64)
+    for i in range(n):
+        p = rng.random(n_classes)
+        probs[i] = p / p.sum()
+        labels[i] = rng.integers(n_classes)
+    return probs, labels
+
+
 def test_metric_ranges():
-    rng = np.random.default_rng(5)
-    records = []
-    for _ in range(500):
-        p = rng.random(4)
-        p /= p.sum()
-        records.append(PredictiveRecord(p, int(rng.integers(4))))
-    scored = classification_metrics(records)
+    scored = classification_metrics(*random_predictions(np.random.default_rng(5), 500, 4))
     assert 0.0 <= scored.accuracy <= 1.0
     assert 0.0 <= scored.brier <= 2.0  # multiclass sum-of-squares convention
     assert 0.0 <= scored.ece <= 1.0
 
 
 def test_invalid_probability_vector_rejected():
-    with pytest.raises(MetricsError):
-        PredictiveRecord(np.array([0.7, 0.7]), 0)
-    with pytest.raises(MetricsError):
-        PredictiveRecord(np.array([-0.1, 1.1]), 0)
+    for probs in ([[0.7, 0.7]], [[-0.1, 1.1]], [[1.0]], [[0.5, 0.5], [0.6, 0.6]], [0.5, 0.5]):
+        with pytest.raises(MetricsError):
+            classification_metrics(np.array(probs), np.zeros(len(probs), dtype=np.int64))
+
+
+def test_invalid_labels_rejected():
+    probs = np.full((2, 3), 1.0 / 3.0)
+    for labels in ([0, 3], [-1, 0], [0], [0.0, 1.0]):
+        with pytest.raises(MetricsError, match="label"):
+            classification_metrics(probs, np.array(labels))
 
 
 def test_empty_records_rejected():
     with pytest.raises(MetricsError):
-        classification_metrics([])
+        classification_metrics(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 @given(st.integers(min_value=1, max_value=40))
 @settings(max_examples=20, deadline=None)
 def test_brier_bounded_for_any_simplex_input(seed):
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(50):
-        p = rng.random(3)
-        p /= p.sum()
-        records.append(PredictiveRecord(p, int(rng.integers(3))))
-    scored = classification_metrics(records)
+    scored = classification_metrics(*random_predictions(np.random.default_rng(seed), 50, 3))
     assert scored.brier <= 2.0 and scored.ece <= 1.0
 
 
@@ -250,15 +244,16 @@ def test_brier_bounded_for_any_simplex_input(seed):
 
 def test_single_sample_average_is_itself():
     probs = np.array([[0.2, 0.8], [0.6, 0.4]])
-    records = predictive_average([probs], [1, 0])
-    assert np.allclose(records[0].probs, probs[0])
+    acc = RunningPredictiveAverage()
+    acc.add(probs)
+    assert np.allclose(acc.mean(), probs)
 
 
 def test_two_sample_average():
-    p = np.array([[0.2, 0.8]])
-    q = np.array([[0.6, 0.4]])
-    records = predictive_average([p, q], [0])
-    assert np.allclose(records[0].probs, [0.4, 0.6])
+    acc = RunningPredictiveAverage()
+    acc.add(np.array([[0.2, 0.8]]))
+    acc.add(np.array([[0.6, 0.4]]))
+    assert np.allclose(acc.mean(), [[0.4, 0.6]])
 
 
 def test_running_mean_matches_batch_mean():

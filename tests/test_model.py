@@ -15,9 +15,11 @@ from fald.model import (
     gen_gaussian_federation,
     gen_logistic_federation,
     load_dataset_csv,
+    logistic_client_grad,
     predict_proba,
     save_dataset_csv,
     smoothness,
+    softmax,
     subsample_indices,
     subsample_size,
     target_posterior,
@@ -209,22 +211,67 @@ def loop_subset_grad(model, c, thetas, idx, q):
     return apply_matrix(scale * (idx.shape[1] * thetas - ssum), model.sigma_inv)
 
 
-def test_gaussian_subset_grad_client_array_matches_single_clients():
-    spec = make_spec(n_clients=4, points=6, seed=2)
+def loop_softmax_grad(model, c, thetas, idx, q):
+    """Reference: one client, the softmax residual outer x added one minibatch point at a time."""
+    x, y = model.data.clients[c], model.data.labels[c]
+    B, C, F = thetas.shape[0], model.n_classes, model.n_features
+    w = thetas.reshape(B, C, F)
+    grad = np.zeros((B, C, F))
+    for t in range(idx.shape[1]):
+        xi = x[idx[:, t]]  # (B, F)
+        logits = np.zeros((B, C))
+        for f in range(F):
+            logits = logits + w[:, :, f] * xi[:, f, None]
+        probs = softmax(logits)
+        probs[np.arange(B), y[idx[:, t]]] -= 1.0
+        grad = grad + probs[:, :, None] * xi[:, None, :]
+    grad = grad + (model.ridge * idx.shape[1]) * w
+    return (1.0 / (q * model.data.weights[c]) * grad).reshape(B, C * F)
+
+
+SUBSET_ORACLES = [("gaussian", 0, 0)] + [("logistic", C, F) for C in (2, 3, 8, 10) for F in (1, 2, 9)]
+
+
+@pytest.mark.parametrize(
+    "oracle,C,F", SUBSET_ORACLES, ids=[o if o == "gaussian" else f"{o}-C{C}-F{F}" for o, C, F in SUBSET_ORACLES]
+)
+def test_subset_grad_client_array_matches_single_clients(oracle, C, F):
+    if oracle == "gaussian":
+        spec = make_spec(n_clients=4, points=6, seed=2)
+        grad, reference = gaussian_client_grad_subset, loop_subset_grad
+    else:
+        spec = gen_logistic_federation(4, 0.5, 6, F, C, seed=2, ridge=0.05, n_test=1)[0]
+        grad, reference = logistic_client_grad, loop_softmax_grad
     rng = np.random.default_rng(1)
     clients = np.array([3, 0, 2])
-    thetas = rng.standard_normal((5, 3, 2))
+    thetas = rng.standard_normal((5, 3, spec.dim))
     idx = np.stack([rng.permutation(6)[:4] for _ in range(15)]).reshape(5, 3, 4)
-    batched = gaussian_client_grad_subset(spec, clients, thetas, idx, 0.7)
+    batched = grad(spec, clients, thetas, idx, 0.7)
     for j, c in enumerate(clients):
-        single = gaussian_client_grad_subset(spec, int(c), thetas[:, j], idx[:, j], 0.7)
+        single = grad(spec, int(c), thetas[:, j], idx[:, j], 0.7)
         assert np.array_equal(batched[:, j], single)
-        assert np.array_equal(single, loop_subset_grad(spec, c, thetas[:, j], idx[:, j], 0.7))
+        assert np.array_equal(single, reference(spec, c, thetas[:, j], idx[:, j], 0.7))
         pts = spec.data.clients[c]
         for b in range(5):
-            resid = (4 * thetas[b, j] - pts[idx[b, j]].sum(axis=0)) / (0.7 * spec.data.weights[c])
-            direct = np.linalg.solve(spec.sigma, resid)
+            if oracle == "gaussian":
+                resid = (4 * thetas[b, j] - pts[idx[b, j]].sum(axis=0)) / (0.7 * spec.data.weights[c])
+                direct = np.linalg.solve(spec.sigma, resid)
+            else:
+                w = thetas[b, j].reshape(C, F)
+                x, y = pts[idx[b, j]], spec.data.labels[c][idx[b, j]]
+                resid = softmax(x @ w.T) - np.eye(C)[y]
+                direct = ((resid.T @ x + 0.05 * 4 * w) / (0.7 * spec.data.weights[c])).ravel()
             assert np.allclose(single[b], direct, rtol=1e-12, atol=1e-12)
+    if oracle == "logistic":
+        # idx None takes every point of the client in index order
+        every = np.broadcast_to(np.arange(6), (5, 3, 6))
+        full = grad(spec, clients, thetas)
+        assert np.array_equal(full, grad(spec, clients, thetas, every))
+        for j, c in enumerate(clients):
+            single = grad(spec, int(c), thetas[:, j])
+            assert np.array_equal(full[:, j], single)
+            assert np.array_equal(single, grad(spec, int(c), thetas[:, j], every[:, j]))
+            assert np.array_equal(single, reference(spec, c, thetas[:, j], every[:, j], 1.0))
 
 
 def test_stochastic_gradient_unbiased():
