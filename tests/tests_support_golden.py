@@ -2,7 +2,8 @@
 
 Every engine path (Gaussian and logistic oracles, full device, scheme I and
 scheme II, full batch and minibatch, fixed and decaying schedules) has one
-small config here.  ``tests/test_golden.py`` runs each through the CLI and
+small config here, plus two sweeps (one with a diverging value) and two
+`gen-data` datasets.  ``tests/test_golden.py`` runs each through the CLI and
 compares output bytes with ``golden_digests.json``.  Temperature 0.7 and
 rho 0.3 make any slip in how tau or rho reach the noise visible.
 
@@ -75,9 +76,11 @@ _SCHEMES = {
 # analysis commands need a privacy sensitivity, budgets and an accuracy target
 _ANALYSIS = "delta_l = 1.0\neps_star = 50.0\ndelta_star = 0.5\ntarget_eps = 0.5\n"
 
-RUN_FILES = ("trajectory.csv", "run_metrics.csv")
+RUN_FILES = ("trajectory.csv", "run_metrics.csv", "summary.txt")
 ANALYSIS_FILES = {"plan": "plan.txt", "bounds": "bounds.csv", "privacy": "privacy_report.txt"}
 ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1")
+GEN_DATA = ("gaussian-full-q1", "logistic-full-q1")
+SWEEP_FILES = ("sweep.csv", "sweep_t_eps.csv")
 
 
 def _configs() -> dict:
@@ -98,10 +101,19 @@ def _configs() -> dict:
     unequal_logistic = _LOGISTIC.replace("points_per_client = 8", "points_per_client = 5, 6, 6, 8")
     configs["logistic-unequal-scheme1:2-q0.5"] = unequal_logistic + _SCHEMES["scheme1:2"] + "subsample_ratio = 0.5\n"
     configs["logistic-unequal-full-q1"] = unequal_logistic + _SCHEMES["full"] + "subsample_ratio = 1\n"
+    # sweeps: the t_eps table, and a diverging eta whose truncated row mixes types
+    configs["sweep-gaussian-s_scheme"] = (
+        _GAUSSIAN + "eta = 0.0005\nsubsample_ratio = 0.5\ntarget_eps = 0.9\n"
+        + "sweep = s_scheme\nsweep_values = full, scheme1:2, scheme2:2\n"
+    )
+    configs["sweep-gaussian-eta-diverging"] = (
+        _GAUSSIAN + "target_eps = 0.9\nsweep = eta\nsweep_values = 0.0005, 0.5\n"
+    )
     return configs
 
 
-#: name -> config text; every config is run, the ANALYSED ones also analysed
+#: name -> config text; sweep-* configs are swept, every other config is run,
+#: the ANALYSED ones also analysed and the GEN_DATA ones written out as datasets
 GOLDEN_CONFIGS = _configs()
 
 
@@ -115,9 +127,11 @@ def output_digests(name: str, workdir: Path) -> dict:
 
     cfg_path = workdir / f"{name.replace(':', '_')}.cfg"
     cfg_path.write_text(GOLDEN_CONFIGS[name], encoding="utf-8")
-    commands = {"run": RUN_FILES}
+    commands = {"sweep": SWEEP_FILES} if name.startswith("sweep-") else {"run": RUN_FILES}
     if name in ANALYSED:
         commands.update({command: (file,) for command, file in ANALYSIS_FILES.items()})
+    if name in GEN_DATA:
+        commands["gen-data"] = ("dataset.csv",)
     digests = {}
     for command, files in commands.items():
         outdir = workdir / f"{cfg_path.stem}-{command}"
