@@ -15,7 +15,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .engine import (
 from .svgchart import line_chart
 
 T_EPS_SMOOTHING_WINDOW = 5  # trailing moving average applied before the first crossing
+_CSV_CHUNK_ROWS = 4096  # rows formatted and written at a time
 
 
 def _workers() -> int:
@@ -53,11 +54,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: List[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _cells(column):
+    """The column's cells as `_fmt` writes them; int and float arrays are formatted whole."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind in "iuf":
+        return map(repr if kind == "f" else str, column.tolist())
+    return map(_fmt, column)
+
+
+def write_csv(path: Path, header: List[str], columns) -> None:
+    """Write equal-length columns under ``header``, _CSV_CHUNK_ROWS rows at a time, with LF line ends.
+
+    An iterator of row tuples is transposed into columns first."""
+    if isinstance(columns, Iterator):
+        columns = list(zip(*columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i0 in range(0, len(columns[0]) if columns else 0, _CSV_CHUNK_ROWS):
+            cells = [_cells(col[i0 : i0 + _CSV_CHUNK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_keyvalues(path: Path, pairs) -> None:
@@ -225,13 +240,6 @@ def _run_one(cfg: ExperimentConfig, spec, run_cfg: RunConfig, workers: int):
     return engine.run_replicated(run_cfg, spec, cfg.replications, workers=workers)
 
 
-def _trajectory_rows(records: np.ndarray, K: int):
-    R, n_rows, d = records.shape
-    for rep in range(R):
-        for r in range(n_rows):
-            yield (rep, r, r * K, *records[rep, r, :])
-
-
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     spec, test_x, test_y = build_model(cfg)
     run_cfg = build_run_config(cfg, spec)
@@ -245,17 +253,18 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
             )
     records = _run_one(cfg, spec, run_cfg, _workers())
 
-    d = spec.dim
-    traj_path = outdir / "trajectory.csv"
+    R, n_rows, d = records.shape
+    rounds = np.arange(n_rows)
     write_csv(
-        traj_path,
+        outdir / "trajectory.csv",
         ["replication", "round", "iteration"] + [f"theta_{j + 1}" for j in range(d)],
-        _trajectory_rows(records, run_cfg.local_steps),
+        [np.repeat(np.arange(R), n_rows), np.tile(rounds, R), np.tile(rounds * run_cfg.local_steps, R)]
+        + [records[..., j].ravel() for j in range(d)],
     )
 
     summary_pairs = [("model", cfg.model), ("rounds", records.shape[1] - 1)]
     header, rows, curves = metric_curves(cfg, spec, records, test_x, test_y)
-    write_csv(outdir / "run_metrics.csv", header, rows)
+    write_csv(outdir / "run_metrics.csv", header, list(zip(*rows)))
     series = [(name, *curve) for name, curve in curves.items()]
     if cfg.model == "gaussian":
         svg = line_chart(series, "sampling error by communication round", "communication round", "W2", log_y=True)
@@ -315,7 +324,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         if cfg.model == "gaussian" and cfg.target_eps is not None:
             t_eps_rows.append((label, *t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)))
 
-    write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], long_rows)
+    write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], list(zip(*long_rows)))
     for name, series in curves.items():
         svg = line_chart(
             series,
@@ -326,7 +335,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         )
         (outdir / f"sweep_{name}.svg").write_text(svg, encoding="utf-8")
     if cfg.target_eps is not None:
-        write_csv(outdir / "sweep_t_eps.csv", ["sweep_value", "t_eps_rounds", "t_eps_iterations"], t_eps_rows)
+        write_csv(outdir / "sweep_t_eps.csv", ["sweep_value", "t_eps_rounds", "t_eps_iterations"], list(zip(*t_eps_rows)))
     print(f"wrote {outdir / 'sweep.csv'}")
     return 0
 
@@ -357,15 +366,9 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
         evaluate = theory.bound_partial
     else:
         evaluate = theory.bound_full_fixed
-    rows = [(int(k), float(evaluate(inputs, int(k)))) for k in ks]
-    write_csv(outdir / "bounds.csv", ["k", "bound"], rows)
-    svg = line_chart(
-        [("bound", [r[0] for r in rows], [r[1] for r in rows])],
-        "convergence bound by iteration",
-        "iteration",
-        "W2 bound",
-        log_y=True,
-    )
+    bound = [float(evaluate(inputs, int(k))) for k in ks]
+    write_csv(outdir / "bounds.csv", ["k", "bound"], [ks, bound])
+    svg = line_chart([("bound", ks.tolist(), bound)], "convergence bound by iteration", "iteration", "W2 bound", log_y=True)
     (outdir / "bounds.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {outdir / 'bounds.csv'}")
     return 0

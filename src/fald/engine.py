@@ -31,9 +31,10 @@ _NOISE_PURPOSE = "noise"
 _SUBSAMPLE_PURPOSE = "subsample"
 _DEVICE_PURPOSE = "devices"
 
-# noise block sizes are chosen from a memory budget; the values produced are
+# noise blocks are sized so that all of a block's arrays together hold at most
+# this many floats (1 MB, within L2 cache); the values produced are
 # counter-based, so the choice never affects results.
-_BLOCK_BUDGET_FLOATS = 2_000_000
+_BLOCK_BUDGET_FLOATS = 131_072
 
 
 class EngineError(ValueError):
@@ -308,6 +309,11 @@ def _initial_thetas(cfg: RunConfig, N: int, d: int, B: int) -> np.ndarray:
     return np.broadcast_to(init, (B, N, d)).copy()
 
 
+def _floats_per_iteration(B: int, N: int, d: int, q: float) -> int:
+    """Floats per iteration of a noise block: normals, their keys, noise and subsample keys."""
+    return B * ((N + 1) * (2 * ((d + 1) // 2) + 1) + N * d + (N if q < 1.0 else 0))
+
+
 def run_block(cfg: RunConfig, model, replications, record_client_states: bool = False) -> BlockResult:
     """Run a batch of chains in lockstep; bit-identical to running them one by one."""
     _check_model(cfg, model)
@@ -329,8 +335,7 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
         states[:, 0] = thetas
 
     clients = list(range(N))
-    pair_cols = 2 * ((d + 1) // 2)
-    block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, B * (N + 1) * pair_cols)))
+    block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, _floats_per_iteration(B, N, d, q))))
     partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
     groups = _size_groups(model)
 
@@ -340,16 +345,10 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
         shared = normals_for_keys(key_grid(seed, reps, iters, [SHARED], _NOISE_PURPOSE), d)
         # (B, block, N, d); the private normals are dropped once scaled
         noise = injected_noise(
-            shared,
-            normals_for_keys(key_grid(seed, reps, iters, clients, _NOISE_PURPOSE), d),
-            etas[k0:k1, None, None],
-            model.tau,
-            cfg.rho,
-            weights,
+            shared, normals_for_keys(key_grid(seed, reps, iters, clients, _NOISE_PURPOSE), d),
+            etas[k0:k1, None, None], model.tau, cfg.rho, weights,
         )
-        sub_keys = None
-        if q < 1.0:
-            sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE)
+        sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE) if q < 1.0 else None
 
         for kb, k in enumerate(range(k0, k1)):
             eta = float(etas[k])

@@ -538,6 +538,21 @@ def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> fl
     return float(np.sqrt(1.5 * worst))
 
 
+def _softmax_hessian(x: np.ndarray, probs: np.ndarray, ridge: float) -> np.ndarray:
+    """Sum of kron(diag(p) - p p^T, x x^T) over points, added in point order from zero, plus ridge."""
+    (n, F), C = x.shape, probs.shape[1]
+    dim = C * F
+    chunk = max(1, 2**20 // (dim * dim))  # points whose terms are held at once
+    hess = np.zeros((1, dim, dim))
+    for i0 in range(0, n, chunk):
+        p, xc = probs[i0 : i0 + chunk, None, :], x[i0 : i0 + chunk]
+        s = np.eye(C) * p - np.swapaxes(p, 1, 2) * p
+        terms = s[:, :, None, :, None] * (xc[:, :, None] * xc[:, None, :])[:, None, :, None, :]
+        # reducing over the leading axis adds the terms one after another
+        hess = np.add.reduce(np.concatenate([hess, terms.reshape(-1, dim, dim)]), axis=0, keepdims=True)
+    return hess[0] + n * ridge * np.eye(dim)
+
+
 def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton on the total energy, then full steps; errors out if it fails to converge.
 
@@ -561,13 +576,7 @@ def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
             return theta
-        hess = np.zeros((dim, dim))
-        for i in range(n):
-            p = probs[i]
-            s = np.diag(p) - np.outer(p, p)
-            hess += np.kron(s, np.outer(x_all[i], x_all[i]))
-        hess += n * model.ridge * np.eye(dim)
-        step = np.linalg.solve(hess, grad)
+        step = np.linalg.solve(_softmax_hessian(x_all, probs, model.ridge), grad)
         t = 1.0
         if it < max_iter:  # damped phase: Armijo backtracking on the energy
             f0 = energy(model, theta)
@@ -598,19 +607,14 @@ def target_posterior(model):
 
 def save_dataset_csv(data: FederatedDataset, path) -> None:
     """One row per point: client_id, x_1..x_d and, when present, label."""
-    d = data.dim
-    header = ["client_id"] + [f"x_{j + 1}" for j in range(d)]
+    from .cli import write_csv
+
+    header = ["client_id"] + [f"x_{j + 1}" for j in range(data.dim)]
+    columns = [np.repeat(np.arange(data.n_clients), data.counts)] + list(data.all_points.T)
     if data.labels is not None:
         header.append("label")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c, pts in enumerate(data.clients):
-            for i in range(pts.shape[0]):
-                row = [c] + [repr(float(v)) for v in pts[i]]
-                if data.labels is not None:
-                    row.append(int(data.labels[c][i]))
-                writer.writerow(row)
+        columns.append(data.all_labels)
+    write_csv(path, header, columns)
 
 
 def load_dataset_csv(path) -> FederatedDataset:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fald import cli, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
@@ -200,6 +202,61 @@ def test_comments_and_blank_lines_ignored():
 
 # ---------------------------------------------------------------------------
 # CLI commands
+
+
+def percell_csv(header, rows) -> bytes:
+    """Reference: the cell-by-cell writer that the column-wise write_csv replaced."""
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300]
+FLOAT_VALUES = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+CELL_VALUES = st.one_of(st.integers(-(2**63), 2**63 - 1), FLOAT_VALUES, st.booleans(), st.text(max_size=5))
+# (strategy for a short pool of values, how the pool becomes a column of length n)
+COLUMN_KINDS = {
+    "int64": (st.integers(-(2**63), 2**63 - 1), lambda pool, n: np.resize(np.array(pool, dtype=np.int64), n)),
+    "float64": (FLOAT_VALUES, lambda pool, n: np.resize(np.array(pool, dtype=np.float64), n)),
+    "bool": (st.booleans(), lambda pool, n: np.resize(np.array(pool, dtype=bool), n)),
+    "str": (st.text(max_size=5), lambda pool, n: (pool * n)[:n]),
+    "mixed": (CELL_VALUES, lambda pool, n: (pool * n)[:n]),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    chunk = cli._CSV_CHUNK_ROWS
+    n = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]) | st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4)):
+        values, to_column = COLUMN_KINDS[kind]
+        columns.append(to_column(draw(st.lists(values, min_size=1, max_size=6)), n))
+    return columns
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=csv_columns())
+def test_column_writer_matches_percell_writer(columns, tmp_path):
+    header = [f"c{i}" for i in range(len(columns))]
+    expected = percell_csv(header, zip(*columns))
+    path = tmp_path / "out.csv"
+    cli.write_csv(path, header, columns)
+    assert path.read_bytes() == expected
+    cli.write_csv(path, header, iter(list(zip(*columns))))  # rows from an iterator
+    assert path.read_bytes() == expected
+
+
+def test_crlf_dataset_still_loads(tmp_path):
+    # dataset.csv used to be written with CRLF line ends; it now ends lines in LF
+    spec, _, _ = model_mod.gen_logistic_federation(3, 0.5, [4, 6, 5], 2, 3, seed=2)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    model_mod.save_dataset_csv(spec.data, lf)
+    assert b"\r" not in lf.read_bytes()
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for path in (lf, crlf):
+        loaded = model_mod.load_dataset_csv(path)
+        for a, b in zip(loaded.clients + loaded.labels, spec.data.clients + spec.data.labels):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 def test_gen_data_writes_dataset(tmp_path):

@@ -402,6 +402,31 @@ def test_block_partition_invariance(oracle, q, scheme):
     assert np.array_equal(whole, parts)
 
 
+@pytest.mark.parametrize("oracle,q,scheme", PATHS, ids=PATH_IDS)
+def test_noise_block_size_invariance(oracle, q, scheme, monkeypatch):
+    # noise blocks of 1 iteration, of 7 (not a divisor of the horizon 30) and
+    # of the whole horizon give the same records
+    spec, cfg = _path_case(oracle, q, scheme)
+    B, N, T = 4, spec.data.n_clients, cfg.horizon
+    per_iter = fald.engine._floats_per_iteration(B, N, spec.dim, q)
+    lengths = []
+
+    def spy_key_grid(seed, reps, iters, tags, purpose):
+        if purpose == "noise" and tags == [SHARED]:
+            lengths.append(len(iters))
+        return key_grid(seed, reps, iters, tags, purpose)
+
+    monkeypatch.setattr(fald.engine, "key_grid", spy_key_grid)
+    records = {}
+    for iters, expected in ((1, [1] * T), (7, [7, 7, 7, 7, 2]), (T, [T])):
+        monkeypatch.setattr(fald.engine, "_BLOCK_BUDGET_FLOATS", iters * per_iter)
+        lengths.clear()
+        records[iters] = run_block(cfg, spec, range(B)).records
+        assert lengths == expected
+    assert np.array_equal(records[1], records[7])
+    assert np.array_equal(records[1], records[T])
+
+
 def test_replication_count_validated():
     spec = make_spec()
     with pytest.raises(EngineError):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import fald
+from fald import model as model_mod
 from fald.model import (
     FederatedDataset,
+    _newton_minimize,
     _rank_smallest,
+    _softmax_hessian,
     apply_matrix,
     ModelError,
     client_grad,
@@ -418,6 +421,45 @@ def test_logistic_sandwich_and_newton():
             sq = float(np.sum((y - x) ** 2))
             assert consts.m * sq <= inner + 1e-9
             assert inner <= consts.L * sq + 1e-9
+
+
+def kron_loop_hessian(x, probs, ridge):
+    """Reference: kron(diag(p) - p p^T, x x^T) added point by point, then the ridge term."""
+    n, F = x.shape
+    dim = probs.shape[1] * F
+    hess = np.zeros((dim, dim))
+    for i in range(n):
+        p = probs[i]
+        hess += np.kron(np.diag(p) - np.outer(p, p), np.outer(x[i], x[i]))
+    hess += n * ridge * np.eye(dim)
+    return hess
+
+
+# (n_clients, points_per_client, n_features, n_classes, seed); the last one's
+# damped Newton phase stalls at rounding level (test_config_cli NEWTON_STALL)
+NEWTON_FEDERATIONS = (
+    [(4, 6, 2, 3, s) for s in range(8)]
+    + [(3, [9, 4, 7], 4, 5, s) for s in range(8)]
+    + [(2, 10, 3, 8, s) for s in range(4)]
+    + [(2, [40, 3], 4, 8, 5)]
+)
+
+
+def test_newton_hessian_matches_kron_loop(monkeypatch):
+    rng = np.random.default_rng(3)
+    # 150 points at C*F = 90 span two chunks of the vectorized form
+    for n_clients, points, F, C, seed in NEWTON_FEDERATIONS + [(3, 50, 9, 10, 0)]:
+        spec = gen_logistic_federation(n_clients, 0.5, points, F, C, seed)[0]
+        x = spec.data.all_points
+        probs = softmax(x @ rng.standard_normal((C, F)).T)
+        fast, ref = _softmax_hessian(x, probs, spec.ridge), kron_loop_hessian(x, probs, spec.ridge)
+        assert np.array_equal(fast, ref) and np.array_equal(np.signbit(fast), np.signbit(ref))
+    for n_clients, points, F, C, seed in NEWTON_FEDERATIONS:
+        spec = gen_logistic_federation(n_clients, 0.5, points, F, C, seed)[0]
+        theta_star = _newton_minimize(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "_softmax_hessian", kron_loop_hessian)
+            assert np.array_equal(theta_star, _newton_minimize(spec))
 
 
 def test_ridge_required():
