@@ -33,7 +33,7 @@ from .engine import (
 from .svgchart import line_chart
 
 T_EPS_SMOOTHING_WINDOW = 5  # trailing moving average applied before the first crossing
-_CSV_CHUNK_ROWS = 4096  # rows formatted and written at a time
+_CSV_CHUNK_ROWS = 4096  # rows formatted at a time
 
 
 def _workers() -> int:
@@ -62,17 +62,34 @@ def _cells(column):
     return map(_fmt, column)
 
 
-def write_csv(path: Path, header: List[str], columns) -> None:
-    """Write equal-length columns under ``header``, _CSV_CHUNK_ROWS rows at a time, with LF line ends.
+def _csv_chunks(header: List[str], columns):
+    """The CSV text in pieces: the header line, then _CSV_CHUNK_ROWS rows at a time."""
+    yield ",".join(header) + "\n"
+    for i0 in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        cells = [_cells(col[i0 : i0 + _CSV_CHUNK_ROWS]) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
 
-    An iterator of row tuples is transposed into columns first."""
+
+def write_csv(path: Path, header: List[str], columns) -> None:
+    """Write a CSV with LF line ends in one ``Path.write_text`` call; only one chunk's cells exist at once.
+
+    ``columns`` is a sequence of equal-length columns (arrays or lists), one per
+    header name, or else an iterator of row tuples, which is transposed."""
     if isinstance(columns, Iterator):
-        columns = list(zip(*columns))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i0 in range(0, len(columns[0]) if columns else 0, _CSV_CHUNK_ROWS):
-            cells = [_cells(col[i0 : i0 + _CSV_CHUNK_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        columns = list(zip(*columns, strict=True)) or [()] * len(header)
+    if len(columns) != len(header):
+        raise ValueError(f"{path}: {len(columns)} columns for {len(header)} header names")
+    path.write_text("".join(_csv_chunks(header, columns)), encoding="utf-8")
+
+
+def save_dataset_csv(data: model_mod.FederatedDataset, path: Path) -> None:
+    """One row per point: client_id, x_1..x_d and, when present, label; `model.load_dataset_csv` reads it."""
+    header = ["client_id"] + [f"x_{j + 1}" for j in range(data.dim)]
+    columns = [np.repeat(np.arange(data.n_clients), data.counts)] + list(data.all_points.T)
+    if data.labels is not None:
+        header.append("label")
+        columns.append(data.all_labels)
+    write_csv(path, header, columns)
 
 
 def write_keyvalues(path: Path, pairs) -> None:
@@ -230,7 +247,7 @@ def metric_curves(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test
 def cmd_gen_data(cfg: ExperimentConfig, outdir: Path) -> int:
     spec, _, _ = build_model(cfg)
     path = outdir / "dataset.csv"
-    model_mod.save_dataset_csv(spec.data, path)
+    save_dataset_csv(spec.data, path)
     print(f"wrote {path}")
     return 0
 
@@ -264,7 +281,7 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
 
     summary_pairs = [("model", cfg.model), ("rounds", records.shape[1] - 1)]
     header, rows, curves = metric_curves(cfg, spec, records, test_x, test_y)
-    write_csv(outdir / "run_metrics.csv", header, list(zip(*rows)))
+    write_csv(outdir / "run_metrics.csv", header, iter(rows))
     series = [(name, *curve) for name, curve in curves.items()]
     if cfg.model == "gaussian":
         svg = line_chart(series, "sampling error by communication round", "communication round", "W2", log_y=True)
@@ -324,7 +341,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         if cfg.model == "gaussian" and cfg.target_eps is not None:
             t_eps_rows.append((label, *t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)))
 
-    write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], list(zip(*long_rows)))
+    write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], iter(long_rows))
     for name, series in curves.items():
         svg = line_chart(
             series,
@@ -335,7 +352,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         )
         (outdir / f"sweep_{name}.svg").write_text(svg, encoding="utf-8")
     if cfg.target_eps is not None:
-        write_csv(outdir / "sweep_t_eps.csv", ["sweep_value", "t_eps_rounds", "t_eps_iterations"], list(zip(*t_eps_rows)))
+        write_csv(outdir / "sweep_t_eps.csv", ["sweep_value", "t_eps_rounds", "t_eps_iterations"], iter(t_eps_rows))
     print(f"wrote {outdir / 'sweep.csv'}")
     return 0
 
@@ -368,7 +385,13 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
         evaluate = theory.bound_full_fixed
     bound = [float(evaluate(inputs, int(k))) for k in ks]
     write_csv(outdir / "bounds.csv", ["k", "bound"], [ks, bound])
-    svg = line_chart([("bound", ks.tolist(), bound)], "convergence bound by iteration", "iteration", "W2 bound", log_y=True)
+    svg = line_chart(
+        [("bound", ks.tolist(), bound)],
+        "convergence bound by iteration",
+        "iteration",
+        "W2 bound",
+        log_y=True,
+    )
     (outdir / "bounds.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {outdir / 'bounds.csv'}")
     return 0

@@ -345,10 +345,16 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
         shared = normals_for_keys(key_grid(seed, reps, iters, [SHARED], _NOISE_PURPOSE), d)
         # (B, block, N, d); the private normals are dropped once scaled
         noise = injected_noise(
-            shared, normals_for_keys(key_grid(seed, reps, iters, clients, _NOISE_PURPOSE), d),
-            etas[k0:k1, None, None], model.tau, cfg.rho, weights,
+            shared,
+            normals_for_keys(key_grid(seed, reps, iters, clients, _NOISE_PURPOSE), d),
+            etas[k0:k1, None, None],
+            model.tau,
+            cfg.rho,
+            weights,
         )
-        sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE) if q < 1.0 else None
+        sub_keys = None
+        if q < 1.0:
+            sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE)
 
         for kb, k in enumerate(range(k0, k1)):
             eta = float(etas[k])

@@ -605,18 +605,6 @@ def target_posterior(model):
 # dataset serialization
 
 
-def save_dataset_csv(data: FederatedDataset, path) -> None:
-    """One row per point: client_id, x_1..x_d and, when present, label."""
-    from .cli import write_csv
-
-    header = ["client_id"] + [f"x_{j + 1}" for j in range(data.dim)]
-    columns = [np.repeat(np.arange(data.n_clients), data.counts)] + list(data.all_points.T)
-    if data.labels is not None:
-        header.append("label")
-        columns.append(data.all_labels)
-    write_csv(path, header, columns)
-
-
 def load_dataset_csv(path) -> FederatedDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

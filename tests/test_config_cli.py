@@ -246,11 +246,19 @@ def test_column_writer_matches_percell_writer(columns, tmp_path):
     assert path.read_bytes() == expected
 
 
+def test_writer_rejects_ragged_or_transposed_columns(tmp_path):
+    path = tmp_path / "out.csv"
+    for columns in ([np.arange(5000), np.arange(4096)], [(1, 2), (3, 4), (5, 6)], iter([(1, 2), (3,)])):
+        with pytest.raises(ValueError):
+            cli.write_csv(path, ["a", "b"], columns)
+    assert not path.exists()
+
+
 def test_crlf_dataset_still_loads(tmp_path):
     # dataset.csv used to be written with CRLF line ends; it now ends lines in LF
     spec, _, _ = model_mod.gen_logistic_federation(3, 0.5, [4, 6, 5], 2, 3, seed=2)
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-    model_mod.save_dataset_csv(spec.data, lf)
+    cli.save_dataset_csv(spec.data, lf)
     assert b"\r" not in lf.read_bytes()
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
     for path in (lf, crlf):

@@ -3,6 +3,7 @@ import pytest
 
 import fald
 from fald import model as model_mod
+from fald.cli import save_dataset_csv
 from fald.model import (
     FederatedDataset,
     _newton_minimize,
@@ -20,7 +21,6 @@ from fald.model import (
     load_dataset_csv,
     logistic_client_grad,
     predict_proba,
-    save_dataset_csv,
     smoothness,
     softmax,
     subsample_indices,
