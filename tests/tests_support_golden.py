@@ -2,8 +2,8 @@
 
 Every engine path (Gaussian and logistic oracles, full device, scheme I and
 scheme II, full batch and minibatch, fixed and decaying schedules) has one
-small config here, plus two sweeps (one with a diverging value) and two
-`gen-data` datasets.  ``tests/test_golden.py`` runs each through the CLI and
+small config here, plus a sweep on every axis (the eta one with a diverging
+value) and two `gen-data` datasets.  ``tests/test_golden.py`` runs each through the CLI and
 compares output bytes with ``golden_digests.json``.  Temperature 0.7 and
 rho 0.3 make any slip in how tau or rho reach the noise visible.
 
@@ -109,6 +109,15 @@ def _configs() -> dict:
     configs["sweep-gaussian-eta-diverging"] = (
         _GAUSSIAN + "target_eps = 0.9\nsweep = eta\nsweep_values = 0.0005, 0.5\n"
     )
+    # the other axes: the local step count, the client spread (one federation
+    # per value) and the correlated-noise coefficient through the softmax oracle
+    configs["sweep-gaussian-k_local"] = (
+        _GAUSSIAN + "eta = 0.0005\ntarget_eps = 0.9\nsweep = k_local\nsweep_values = 1, 2, 4\n"
+    )
+    configs["sweep-gaussian-alpha"] = (
+        _GAUSSIAN + "eta = 0.0005\ntarget_eps = 0.9\nsweep = alpha\nsweep_values = 0, 1, 3\n"
+    )
+    configs["sweep-logistic-rho"] = _LOGISTIC + "sweep = rho\nsweep_values = 0, 0.3, 1\n"
     return configs
 
 
@@ -127,7 +136,9 @@ def output_digests(name: str, workdir: Path) -> dict:
 
     cfg_path = workdir / f"{name.replace(':', '_')}.cfg"
     cfg_path.write_text(GOLDEN_CONFIGS[name], encoding="utf-8")
-    commands = {"sweep": SWEEP_FILES} if name.startswith("sweep-") else {"run": RUN_FILES}
+    # sweep_t_eps.csv is written only when the config sets target_eps
+    sweep_files = SWEEP_FILES if "target_eps" in GOLDEN_CONFIGS[name] else SWEEP_FILES[:1]
+    commands = {"sweep": sweep_files} if name.startswith("sweep-") else {"run": RUN_FILES}
     if name in ANALYSED:
         commands.update({command: (file,) for command, file in ANALYSIS_FILES.items()})
     if name in GEN_DATA:
