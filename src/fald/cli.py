@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from . import engine, metrics, model as model_mod, privacy, theory
-from .config import ConfigError, ExperimentConfig, parse_config_file, require
+from .config import ConfigError, ExperimentConfig, parse_config_file, require, sweep_label, sweep_point
 from .engine import (
     ChainDivergenceError,
     DecayingStep,
@@ -100,18 +100,17 @@ def write_keyvalues(path: Path, pairs) -> None:
 # model / run-config assembly
 
 
-def build_model(cfg: ExperimentConfig, alpha: Optional[float] = None):
+def build_model(cfg: ExperimentConfig):
     """Instantiate the configured federation; logistic also returns test data."""
-    alpha = cfg.alpha if alpha is None else alpha
     if cfg.model == "gaussian":
         sigma = cfg.sigma if cfg.sigma is not None else np.eye(cfg.dimension)
         spec = model_mod.gen_gaussian_federation(
-            cfg.n_clients, alpha, cfg.points_per_client, sigma, cfg.seed, tau=cfg.tau
+            cfg.n_clients, cfg.alpha, cfg.points_per_client, sigma, cfg.seed, tau=cfg.tau
         )
         return spec, None, None
     spec, test_x, test_y = model_mod.gen_logistic_federation(
         cfg.n_clients,
-        alpha,
+        cfg.alpha,
         cfg.points_per_client,
         cfg.n_features,
         cfg.n_classes,
@@ -131,26 +130,18 @@ def _scheme(name: str, s: Optional[int]):
     return SchemeII(s)
 
 
-def build_run_config(
-    cfg: ExperimentConfig,
-    spec,
-    k_local: Optional[int] = None,
-    rho: Optional[float] = None,
-    eta: Optional[float] = None,
-    scheme_spec=None,
-) -> RunConfig:
+def build_run_config(cfg: ExperimentConfig, spec, scheme_spec=None) -> RunConfig:
     require(cfg, "horizon")
     if cfg.schedule == "decaying":
         schedule = DecayingStep(*model_mod.smoothness(spec))
+    elif cfg.eta is None:
+        raise ConfigError("fixed schedule requires an eta")
     else:
-        eta = cfg.eta if eta is None else eta
-        if eta is None:
-            raise ConfigError("fixed schedule requires an eta")
-        schedule = FixedStep(eta)
+        schedule = FixedStep(cfg.eta)
     scheme = scheme_spec if scheme_spec is not None else _scheme(cfg.scheme, cfg.s_devices)
     return RunConfig(
-        local_steps=cfg.k_local if k_local is None else k_local,
-        rho=cfg.rho if rho is None else rho,
+        local_steps=cfg.k_local,
+        rho=cfg.rho,
         schedule=schedule,
         scheme=scheme,
         subsample_ratio=cfg.subsample_ratio,
@@ -299,21 +290,11 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def _sweep_points(cfg: ExperimentConfig, spec):
-    """Yield (label, spec, run_cfg) per sweep value."""
+    """Yield (label, spec, run_cfg) per sweep value; only an alpha sweep draws a new federation."""
     for value in cfg.sweep_values:
-        if cfg.sweep == "k_local":
-            yield str(value), spec, build_run_config(cfg, spec, k_local=int(value))
-        elif cfg.sweep == "rho":
-            yield repr(float(value)), spec, build_run_config(cfg, spec, rho=float(value))
-        elif cfg.sweep == "eta":
-            yield repr(float(value)), spec, build_run_config(cfg, spec, eta=float(value))
-        elif cfg.sweep == "alpha":
-            fresh, _, _ = build_model(cfg, alpha=float(value))
-            yield repr(float(value)), fresh, build_run_config(cfg, fresh)
-        else:  # s_scheme
-            name, s = value
-            label = name if s is None else f"{name}:{s}"
-            yield label, spec, build_run_config(cfg, spec, scheme_spec=_scheme(name, s))
+        point = sweep_point(cfg, value)
+        point_spec = build_model(point)[0] if cfg.sweep == "alpha" else spec
+        yield sweep_label(cfg, value), point_spec, build_run_config(point, point_spec)
 
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
@@ -398,12 +379,12 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def _dp_params(cfg: ExperimentConfig, spec) -> privacy.DpParams:
-    require(cfg, "delta_l", "horizon")
+    require(cfg, "delta_l", "horizon", "eta")
     scheme = _scheme(cfg.scheme, cfg.s_devices)
     return privacy.DpParams(
         delta_l=cfg.delta_l,
         q=cfg.subsample_ratio,
-        eta=cfg.eta if cfg.eta is not None else 0.0,
+        eta=cfg.eta,
         tau=cfg.tau,
         rho=cfg.rho,
         min_pc=float(np.min(spec.data.weights)),

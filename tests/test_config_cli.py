@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fald import cli, model as model_mod, privacy, theory
+from fald import cli, config, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
 from fald.engine import FixedStep, FullDevice
 
@@ -103,6 +103,64 @@ def test_sweep_values_require_axis():
 def test_horizon_must_cover_swept_k():
     with pytest.raises(ConfigError, match="offender"):
         parse_config(MINIMAL + "sweep = k_local\nsweep_values = 2, 3\nhorizon = 8\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL + "sweep = rho\nsweep_values = 0.5, 1.5\n", "line 7: rho must lie in [0, 1] (offender: 1.5)"),
+        (MINIMAL + "sweep = eta\nsweep_values = 0.001, 0\n", "line 7: eta must be positive (offender: 0.0)"),
+        (MINIMAL + "sweep = alpha\nsweep_values = 1, -1\n", "line 7: alpha must be nonnegative (offender: -1.0)"),
+        (MINIMAL + "sweep = k_local\nsweep_values = 0, 1\n", "line 7: k_local must be >= 1 (offender: 0)"),
+        (
+            MINIMAL + "sweep = s_scheme\nsweep_values = full, scheme1:9\n",
+            "line 7: need s_devices <= n_clients (offender: scheme1:9)",
+        ),
+        (
+            MINIMAL.replace("points_per_client = 4", "points_per_client = 4, 5, 6")
+            + "sweep = s_scheme\nsweep_values = scheme1:2, scheme2:2\n",
+            "line 7: scheme2 requires balanced clients (equal point counts per client) (offender: scheme2:2)",
+        ),
+        # the base k_local is what run, bounds and plan use, so the base config fails first
+        (
+            MINIMAL + "sweep = k_local\nsweep_values = 2, 4\nk_local = 3\nhorizon = 8\n",
+            "line 9: horizon must be a multiple of k_local",
+        ),
+    ],
+    ids=["rho1.5", "eta0", "alpha-1", "k_local0-no-horizon", "scheme1:9", "scheme2-unbalanced", "base-k3-horizon8"],
+)
+def test_sweep_values_checked_like_the_base_config(text, message, tmp_path, capsys):
+    path = write_config(tmp_path, text)
+    assert run_cli(["sweep", path, "--outdir", tmp_path]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_eta_sweep_under_decaying_schedule_rejected(tmp_path, capsys):
+    # the decaying schedule ignores eta, so every value would run the same chain
+    path = write_config(tmp_path, MINIMAL + "schedule = decaying\nsweep = eta\nsweep_values = 0.001, 0.1\n")
+    assert run_cli(["sweep", path, "--outdir", tmp_path]) == 2
+    assert "line 7: an eta sweep needs schedule = fixed" in capsys.readouterr().err
+
+
+def test_ranges_hold_whatever_the_model():
+    with pytest.raises(ConfigError, match=r"line 6: n_classes must be >= 2"):
+        parse_config(MINIMAL + "n_classes = 1\n")
+    with pytest.raises(ConfigError, match=r"line 6: s_devices must be >= 1"):
+        parse_config(MINIMAL + "s_devices = 0\n")
+
+
+def test_readme_key_table_matches_key_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration files", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                rows[key] = line
+    assert set(rows) == set(config._KEYS)
+    for key, (_, interval) in config._KEYS.items():
+        if interval is not None and "inf" not in interval:
+            assert interval in rows[key], f"README row of {key} lacks {interval}"
 
 
 def test_bad_scheme_value():
@@ -398,6 +456,13 @@ def test_privacy_inadmissible_eta_reports_and_fails(tmp_path, capsys):
     assert run_cli(["privacy", path, "--outdir", tmp_path]) == 2
     report = (tmp_path / "privacy_report.txt").read_text()
     assert "eta_max_dp" in report
+
+
+def test_privacy_requires_eta(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL + "horizon = 10\ndelta_l = 1\n")
+    assert run_cli(["privacy", path, "--outdir", tmp_path]) == 2
+    assert "missing mandatory key 'eta' for this command" in capsys.readouterr().err
+    assert not (tmp_path / "privacy_report.txt").exists()
 
 
 def test_plan_reports_optimal_k(tmp_path):
