@@ -8,8 +8,6 @@ from .engine import (
     RunConfig,
     SchemeI,
     SchemeII,
-    Trajectory,
-    run_chain,
     run_replicated,
 )
 from .metrics import GaussianSummary, classification_metrics, empirical_summary, w2_gaussian

@@ -304,6 +304,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     workers = _workers()
     long_rows = []
     t_eps_rows = []
+    with_t_eps = cfg.model == "gaussian" and cfg.target_eps is not None
     curves: dict = {}
     for label, point_spec, run_cfg in _sweep_points(cfg, spec):
         try:
@@ -311,7 +312,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         except ChainDivergenceError as err:
             print(f"sweep value {label}: {err}", file=sys.stderr)
             long_rows.append((label, 0, "truncated", 1.0))
-            if cfg.target_eps is not None:
+            if with_t_eps:
                 t_eps_rows.append((label, math.inf, math.inf))
             continue
         _, rows, point_curves = metric_curves(cfg, point_spec, records, test_x, test_y)
@@ -319,7 +320,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
             long_rows += [(label, row[0], name, values[i]) for name, (_, values) in point_curves.items()]
         for name, curve in point_curves.items():
             curves.setdefault(name, []).append((label, *curve))
-        if cfg.model == "gaussian" and cfg.target_eps is not None:
+        if with_t_eps:
             t_eps_rows.append((label, *t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)))
 
     write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], iter(long_rows))
@@ -332,7 +333,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
             log_y=(name == "w2"),
         )
         (outdir / f"sweep_{name}.svg").write_text(svg, encoding="utf-8")
-    if cfg.target_eps is not None:
+    if with_t_eps:
         write_csv(outdir / "sweep_t_eps.csv", ["sweep_value", "t_eps_rounds", "t_eps_iterations"], iter(t_eps_rows))
     print(f"wrote {outdir / 'sweep.csv'}")
     return 0
@@ -379,23 +380,27 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def _dp_params(cfg: ExperimentConfig, spec) -> privacy.DpParams:
+    if cfg.schedule == "decaying":
+        raise ConfigError("privacy accounting needs schedule = fixed (the decaying schedule ignores eta)")
     require(cfg, "delta_l", "horizon", "eta")
-    scheme = _scheme(cfg.scheme, cfg.s_devices)
-    return privacy.DpParams(
-        delta_l=cfg.delta_l,
-        q=cfg.subsample_ratio,
-        eta=cfg.eta,
-        tau=cfg.tau,
-        rho=cfg.rho,
-        min_pc=float(np.min(spec.data.weights)),
-        K=cfg.k_local,
-        T=cfg.horizon,
-        N=cfg.n_clients,
-        scheme=scheme,
-        delta0=cfg.delta0,
-        delta1=cfg.delta1,
-        delta2=cfg.delta2,
-    )
+    try:
+        return privacy.DpParams(
+            delta_l=cfg.delta_l,
+            q=cfg.subsample_ratio,
+            eta=cfg.eta,
+            tau=cfg.tau,
+            rho=cfg.rho,
+            min_pc=float(np.min(spec.data.weights)),
+            K=cfg.k_local,
+            T=cfg.horizon,
+            N=cfg.n_clients,
+            scheme=_scheme(cfg.scheme, cfg.s_devices),
+            delta0=cfg.delta0,
+            delta1=cfg.delta1,
+            delta2=cfg.delta2,
+        )
+    except privacy.PrivacyError as err:
+        raise ConfigError(f"privacy: {err}") from None
 
 
 def cmd_privacy(cfg: ExperimentConfig, outdir: Path) -> int:

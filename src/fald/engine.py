@@ -3,7 +3,8 @@
 Each client runs K local noisy-gradient steps between synchronizations; the
 injected noise mixes a shared Gaussian vector (weight rho) with a private
 per-client one (weight sqrt(1-rho^2)/sqrt(p_c)).  Synchronization averages the
-participating clients and broadcasts the result to everyone.
+participating clients and broadcasts the result to everyone.  A chain's one
+output is that synchronized state at each communication round.
 
 Determinism contract: a chain's trajectory is a pure function of
 (config, model, replication id).  All randomness comes from counter-based
@@ -132,7 +133,8 @@ class RunConfig:
     """One complete chain description; see module docstring for semantics.
 
     The federation (client count and weights) and the temperature tau belong
-    to the model the chain runs on.
+    to the model the chain runs on.  ``init`` is one (d,) vector that every
+    client starts from.
     """
 
     local_steps: int
@@ -142,7 +144,7 @@ class RunConfig:
     subsample_ratio: float = 1.0
     horizon: int = 0
     master_seed: int = 0
-    init: Optional[np.ndarray] = None  # (d,) or (n_clients, d); default all-zero
+    init: Optional[np.ndarray] = None  # (d,); default all-zero
 
     def __post_init__(self):
         if self.local_steps < 1:
@@ -156,26 +158,10 @@ class RunConfig:
 
 
 @dataclass
-class Trajectory:
-    """Synchronized global states of one chain, one row per communication round."""
-
-    replication: int
-    rounds: np.ndarray  # r = 0..T/K
-    iterations: np.ndarray  # r * K
-    thetas: np.ndarray  # (rounds + 1, d)
-    etas: np.ndarray  # step size used in the last local step of each round
-    final_thetas: Optional[np.ndarray] = None  # (n_clients, d) after the last iteration
-    client_states: Optional[np.ndarray] = None  # (T + 1, n_clients, d) when recorded
-
-
-@dataclass
 class BlockResult:
     """Raw output of a lockstep batch of chains."""
 
-    records: np.ndarray  # (B, rounds + 1, d)
-    etas_used: np.ndarray
-    final_thetas: np.ndarray  # (B, n_clients, d)
-    client_states: Optional[np.ndarray] = None  # (B, T + 1, n_clients, d)
+    records: np.ndarray  # (B, rounds + 1, d): the synchronized state at rounds 0..T/K
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +288,8 @@ def _initial_thetas(cfg: RunConfig, N: int, d: int, B: int) -> np.ndarray:
     if cfg.init is None:
         return np.zeros((B, N, d))
     init = np.asarray(cfg.init, dtype=np.float64)
-    if init.shape == (d,):
-        init = np.broadcast_to(init, (N, d))
-    if init.shape != (N, d):
-        raise EngineError(f"init must have shape ({d},) or ({N}, {d})")
+    if init.shape != (d,):
+        raise EngineError(f"init must have shape ({d},)")
     return np.broadcast_to(init, (B, N, d)).copy()
 
 
@@ -314,7 +298,7 @@ def _floats_per_iteration(B: int, N: int, d: int, q: float) -> int:
     return B * ((N + 1) * (2 * ((d + 1) // 2) + 1) + N * d + (N if q < 1.0 else 0))
 
 
-def run_block(cfg: RunConfig, model, replications, record_client_states: bool = False) -> BlockResult:
+def run_block(cfg: RunConfig, model, replications) -> BlockResult:
     """Run a batch of chains in lockstep; bit-identical to running them one by one."""
     _check_model(cfg, model)
     reps = np.asarray(list(replications), dtype=np.int64)
@@ -324,15 +308,8 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
     etas = step_size(cfg.schedule, np.arange(T))
     thetas = _initial_thetas(cfg, N, d, B)
 
-    n_rounds = T // K
-    records = np.empty((B, n_rounds + 1, d))
-    etas_used = np.empty(n_rounds + 1)
+    records = np.empty((B, T // K + 1, d))
     records[:, 0, :] = synchronize(thetas, weights, FullDevice())
-    etas_used[0] = etas[0]
-    states = None
-    if record_client_states:
-        states = np.empty((B, T + 1, N, d))
-        states[:, 0] = thetas
 
     clients = list(range(N))
     block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, _floats_per_iteration(B, N, d, q))))
@@ -357,9 +334,8 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
             sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE)
 
         for kb, k in enumerate(range(k0, k1)):
-            eta = float(etas[k])
             grads = _grads(model, q, thetas, sub_keys[:, kb] if sub_keys is not None else None, groups)
-            thetas = local_step(thetas, grads, noise[:, kb], eta)
+            thetas = local_step(thetas, grads, noise[:, kb], float(etas[k]))
             _check_state(thetas, reps, k)
             if (k + 1) % K == 0:
                 sampled = None
@@ -368,33 +344,11 @@ def run_block(cfg: RunConfig, model, replications, record_client_states: bool = 
                     sampled = sample_devices(cfg.scheme, weights, dev_keys)
                 theta_bar = synchronize(thetas, weights, cfg.scheme, sampled)
                 thetas = np.broadcast_to(theta_bar[:, None, :], (B, N, d)).copy()
-                r = (k + 1) // K
-                records[:, r, :] = theta_bar
-                etas_used[r] = eta
-            if record_client_states:
-                states[:, k + 1] = thetas
+                records[:, (k + 1) // K, :] = theta_bar
 
-    return BlockResult(
-        records=records,
-        etas_used=etas_used,
-        final_thetas=thetas,
-        client_states=states,
-    )
+    return BlockResult(records=records)
 
 
-def run_chain(cfg: RunConfig, model, replication: int, record_client_states: bool = False) -> Trajectory:
-    """Run one chain and return its per-round trajectory."""
-    out = run_block(cfg, model, [replication], record_client_states)
-    rounds = np.arange(out.records.shape[1])
-    return Trajectory(
-        replication=replication,
-        rounds=rounds,
-        iterations=rounds * cfg.local_steps,
-        thetas=out.records[0],
-        etas=out.etas_used,
-        final_thetas=out.final_thetas[0],
-        client_states=out.client_states[0] if record_client_states else None,
-    )
 def _block_task(args):
     cfg, model, rep_slice = args
     return run_block(cfg, model, rep_slice).records

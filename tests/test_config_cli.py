@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from fald import cli, config, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
-from fald.engine import FixedStep, FullDevice
+from fald.engine import FixedStep, FullDevice, SchemeI, SchemeII, run_block
+from tests_support_golden import GOLDEN_CONFIGS
 
 MINIMAL = """
 # smallest valid experiment description
@@ -465,6 +466,24 @@ def test_privacy_requires_eta(tmp_path, capsys):
     assert not (tmp_path / "privacy_report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("schedule = decaying", "privacy accounting needs schedule = fixed"),
+        ("rho = 1", "privacy: rho must lie in [0, 1)"),
+        ("tau = 0", "privacy: tau must be positive"),
+    ],
+    ids=["decaying", "rho1", "tau0"],
+)
+def test_privacy_inputs_it_cannot_account_exit_2(line, message, tmp_path, capsys):
+    # the decaying schedule never uses the configured eta the accountant would read
+    text = "n_clients = 3\npoints_per_client = 6\nseed = 7\neta = 0.0005\nhorizon = 20\ndelta_l = 1\n"
+    path = write_config(tmp_path, text + line + "\n")
+    assert run_cli(["privacy", path, "--outdir", tmp_path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "privacy_report.txt").exists()
+
+
 def test_plan_reports_optimal_k(tmp_path):
     text = RUN_GAUSSIAN + "target_eps = 0.05\n"
     path = write_config(tmp_path, text)
@@ -510,6 +529,23 @@ def test_sweep_marks_divergent_value_truncated(tmp_path):
     truncated = [r for r in rows if r[2] == "truncated"]
     assert len(truncated) == 1 and truncated[0][0] == "60.0"
     assert any(r[0] == "0.0002" and r[2] == "w2" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "text, truncated",
+    [
+        (GOLDEN_CONFIGS["sweep-logistic-rho"] + "target_eps = 0.5\n", False),
+        (RUN_GAUSSIAN.replace("model = gaussian", "model = logistic")
+         + "target_eps = 0.5\nsweep = eta\nsweep_values = 0.0005, 60.0\n", True),
+    ],
+    ids=["logistic-rho", "logistic-eta-diverging"],
+)
+def test_logistic_sweep_writes_no_t_eps_table(text, truncated, tmp_path):
+    # T_eps is measured on the W2 curve, which only Gaussian runs have
+    path = write_config(tmp_path, text)
+    assert run_cli(["sweep", path, "--outdir", tmp_path]) == 0
+    assert ("truncated" in (tmp_path / "sweep.csv").read_text()) == truncated
+    assert not (tmp_path / "sweep_t_eps.csv").exists()
 
 
 def test_bounds_decaying_schedule(tmp_path):
@@ -559,3 +595,25 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dataset.csv").exists()
+
+
+def test_library_call_forms_of_the_benchmark():
+    # bench/layers.py and bench/run.py call these forms directly
+    cfg = parse_config(RUN_GAUSSIAN + "delta_l = 1.0\n")
+    spec, _, _ = cli.build_model(cfg)
+    for name, s, scheme in (("full", None, FullDevice()), ("scheme1", 2, SchemeI(2)), ("scheme2", 2, SchemeII(2))):
+        run_cfg = cli.build_run_config(cfg, spec, scheme_spec=cli._scheme(name, s))
+        assert run_cfg.scheme == scheme
+        assert run_block(run_cfg, spec, range(2)).records.shape == (2, cfg.horizon // cfg.k_local + 1, spec.dim)
+    params = cli._dp_params(cfg, spec)
+    assert (params.eta, params.T, params.scheme) == (cfg.eta, cfg.horizon, FullDevice())
+    rng = np.random.default_rng(0)
+    thetas = rng.standard_normal((5, spec.dim))
+    # every point of client 0 at q = 1 is its exact gradient
+    idx = np.tile(np.arange(6), (5, 1))
+    exact = [model_mod.client_grad(spec, 0, t) for t in thetas]
+    assert np.allclose(model_mod.gaussian_client_grad_subset(spec, 0, thetas, idx, 1.0), exact)
+    l_spec, _, _ = cli.build_model(parse_config(LOGISTIC_MINIMAL))
+    w = rng.standard_normal((3, l_spec.dim))
+    grads = model_mod.logistic_client_grad(l_spec, 0, w)
+    assert grads.shape == w.shape and np.array_equal(grads[1], model_mod.client_grad(l_spec, 0, w[1]))

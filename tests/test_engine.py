@@ -14,7 +14,6 @@ from fald.engine import (
     injected_noise,
     local_step,
     run_block,
-    run_chain,
     run_replicated,
     sample_devices,
     step_size,
@@ -53,6 +52,11 @@ def noise_normals(seed, rep, iters, clients, dim):
     shared = normals_for_keys(key_grid(seed, [rep], iters, [SHARED], "noise"), dim)[0]
     private = normals_for_keys(key_grid(seed, [rep], iters, clients, "noise"), dim)[0]
     return shared, private
+
+
+def one_chain(cfg, spec, rep):
+    """Per-round records of one chain."""
+    return run_block(cfg, spec, [rep]).records[0]
 
 
 def device_keys(seed, rounds):
@@ -212,7 +216,7 @@ def test_scheme1_resampling_unbiased():
 def test_single_client_chain_matches_handrolled_sgld():
     spec = make_spec(n_clients=1, points=5, seed=3, tau=0.7)
     cfg = make_cfg(spec, local_steps=1, rho=0.4, schedule=FixedStep(1e-3), horizon=100, master_seed=9)
-    traj = run_chain(cfg, spec, replication=2)
+    traj = one_chain(cfg, spec, 2)
     theta = np.zeros(2)
     hand = [theta.copy()]
     for k in range(100):
@@ -223,7 +227,7 @@ def test_single_client_chain_matches_handrolled_sgld():
         noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.4, [1.0])[0]
         theta = local_step(theta, grad, noise, 1e-3)
         hand.append(theta.copy())
-    assert np.array_equal(np.array(hand), traj.thetas)
+    assert np.array_equal(np.array(hand), traj)
 
 
 @pytest.mark.parametrize("oracle", ["gaussian", "gaussian-unequal", "logistic", "logistic-unequal"])
@@ -239,7 +243,7 @@ def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
     else:
         spec = gen_logistic_federation(1, 0.5, 8, 2, 3, seed=3, ridge=0.05, tau=0.7)[0]
     cfg = make_cfg(spec, local_steps=1, rho=0.3, subsample_ratio=0.5, horizon=20, master_seed=6)
-    traj = run_chain(cfg, spec, replication=1)
+    traj = one_chain(cfg, spec, 1)
     p = spec.data.weights
     theta = np.zeros(spec.dim)
     hand = [theta.copy()]
@@ -253,14 +257,14 @@ def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
             betas[c] = local_step(theta, grad, noise, 1e-3)
         theta = synchronize(betas, p, FullDevice())
         hand.append(theta.copy())
-    assert np.array_equal(np.array(hand), traj.thetas)
+    assert np.array_equal(np.array(hand), traj)
 
 
 def test_k1_reduction_matches_direct_iterate():
     # K = 1 with full device is the plain synchronized update under the same streams
     spec = make_spec(n_clients=4, points=5, seed=11)
     cfg = make_cfg(spec, local_steps=1, rho=0.25, schedule=FixedStep(5e-4), horizon=50, master_seed=4)
-    traj = run_chain(cfg, spec, replication=1)
+    traj = one_chain(cfg, spec, 1)
     p = spec.data.weights
     thetas = np.zeros((4, 2))
     hand = [synchronize(thetas, p, FullDevice())]
@@ -275,15 +279,41 @@ def test_k1_reduction_matches_direct_iterate():
         bar = synchronize(betas, p, FullDevice())
         thetas = np.broadcast_to(bar, (4, 2)).copy()
         hand.append(bar)
-    assert np.array_equal(np.array(hand), traj.thetas)
+    assert np.array_equal(np.array(hand), traj)
+
+
+@pytest.mark.parametrize("scheme", [FullDevice(), SchemeI(2), SchemeII(2)], ids=["full", "scheme1:2", "scheme2:2"])
+def test_local_steps_chain_matches_handrolled(scheme):
+    # K = 3: clients step apart between syncs; devices are drawn from the key
+    # of iteration k + 1, and the synchronized state is broadcast to every client
+    spec = make_spec(n_clients=4, points=5, seed=11)
+    cfg = make_cfg(spec, local_steps=3, rho=0.3, horizon=12, master_seed=4, scheme=scheme)
+    p = spec.data.weights
+    thetas = np.zeros((4, 2))
+    hand = [synchronize(thetas, p, FullDevice())]
+    for k in range(12):
+        shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
+        for c in range(4):
+            grad = client_grad(spec, c, thetas[c])
+            private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
+            noise = injected_noise(shared[None], private[None], 1e-3, 1.0, 0.3, p[c:c + 1])[0]
+            thetas[c] = local_step(thetas[c], grad, noise, 1e-3)
+        if (k + 1) % 3 == 0:
+            sampled = None
+            if not isinstance(scheme, FullDevice):
+                sampled = sample_devices(scheme, p, stream_key(4, 1, k + 1, SHARED, "devices"))
+            bar = synchronize(thetas, p, scheme, sampled)
+            thetas = np.broadcast_to(bar, (4, 2)).copy()
+            hand.append(bar)
+    assert np.array_equal(np.array(hand), one_chain(cfg, spec, 1))
 
 
 def test_zero_temperature_chain_descends_energy():
     spec = make_spec(n_clients=3, points=5, seed=6, tau=0.0)
     L = spec.data.total_points * float(np.linalg.eigvalsh(np.linalg.inv(REF_SIGMA))[-1])
     cfg = make_cfg(spec, local_steps=1, schedule=FixedStep(0.9 / L), horizon=30, init=np.array([2.0, -1.0]))
-    traj = run_chain(cfg, spec, 0)
-    values = [energy(spec, traj.thetas[r]) for r in range(31)]
+    traj = one_chain(cfg, spec, 0)
+    values = [energy(spec, traj[r]) for r in range(31)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -292,7 +322,7 @@ def test_zero_temperature_ignores_randomness():
     recs = []
     for rep in (0, 1, 7):
         cfg = make_cfg(spec, horizon=20)
-        recs.append(run_chain(cfg, spec, rep).thetas)
+        recs.append(one_chain(cfg, spec, rep))
     assert np.array_equal(recs[0], recs[1])
     assert np.array_equal(recs[0], recs[2])
 
@@ -300,47 +330,23 @@ def test_zero_temperature_ignores_randomness():
 def test_same_seed_bitwise_identical():
     spec = make_spec()
     cfg = make_cfg(spec)
-    a = run_chain(cfg, spec, 3).thetas
-    b = run_chain(cfg, spec, 3).thetas
+    a = one_chain(cfg, spec, 3)
+    b = one_chain(cfg, spec, 3)
     assert np.array_equal(a, b)
-
-
-def test_consensus_after_every_sync():
-    spec = make_spec(n_clients=3, points=4)
-    cfg = make_cfg(spec, local_steps=4, horizon=16)
-    traj = run_chain(cfg, spec, 0, record_client_states=True)
-    for k in range(17):
-        states = traj.client_states[k]
-        if k % 4 == 0:
-            assert np.all(states == states[0])
-        elif k > 0:
-            assert not np.all(states == states[0])
-
-
-def test_virtual_sequence_identity_at_syncs():
-    spec = make_spec(n_clients=3, points=4)
-    cfg = make_cfg(spec, local_steps=4, horizon=16)
-    traj = run_chain(cfg, spec, 0, record_client_states=True)
-    # recorded round state equals the weighted client average of the raw
-    # pre-broadcast betas; the broadcast stored the same vector everywhere
-    for r, k in zip(traj.rounds, traj.iterations):
-        avg = spec.data.weights @ traj.client_states[k]
-        assert np.max(np.abs(avg - traj.thetas[r])) < 1e-12
 
 
 def test_scheme2_with_all_devices_bit_equal_to_full():
     spec = make_spec(n_clients=4, points=5, seed=13)
     kwargs = dict(local_steps=3, rho=0.5, schedule=FixedStep(2e-4), horizon=30, master_seed=21)
-    full = run_chain(make_cfg(spec, **kwargs), spec, 0)
-    part = run_chain(make_cfg(spec, scheme=SchemeII(4), **kwargs), spec, 0)
-    assert np.array_equal(full.thetas, part.thetas)
+    full = one_chain(make_cfg(spec, **kwargs), spec, 0)
+    part = one_chain(make_cfg(spec, scheme=SchemeII(4), **kwargs), spec, 0)
+    assert np.array_equal(full, part)
 
 
 def test_partial_schemes_resample_each_sync():
     spec = make_spec(n_clients=6, points=3)
     cfg = make_cfg(spec, scheme=SchemeII(2), local_steps=2, horizon=40)
-    traj = run_chain(cfg, spec, 0)
-    assert np.isfinite(traj.thetas).all()
+    assert np.isfinite(one_chain(cfg, spec, 0)).all()
 
 
 def test_run_replicated_slices_match_run_chain():
@@ -348,7 +354,7 @@ def test_run_replicated_slices_match_run_chain():
     cfg = make_cfg(spec, horizon=30, local_steps=3)
     records = run_replicated(cfg, spec, 5)
     for rep in range(5):
-        assert np.array_equal(records[rep], run_chain(cfg, spec, rep).thetas)
+        assert np.array_equal(records[rep], one_chain(cfg, spec, rep))
 
 
 # one config per engine path: oracle x minibatch ratio x device scheme
@@ -456,9 +462,9 @@ def test_divergence_guard_reports_location():
     cfg = make_cfg(spec, schedule=FixedStep(10.0 / L), horizon=4000, local_steps=1,
                    init=np.array([1.0, 1.0]))
     with pytest.raises(ChainDivergenceError, match="reducing the step size"):
-        run_chain(cfg, spec, 0)
+        one_chain(cfg, spec, 0)
     try:
-        run_chain(cfg, spec, 5)
+        one_chain(cfg, spec, 5)
     except ChainDivergenceError as err:
         assert err.replication == 5
         assert err.iteration >= 0
@@ -467,8 +473,8 @@ def test_divergence_guard_reports_location():
 def test_stochastic_gradient_chain_runs():
     spec = make_spec(n_clients=3, points=8)
     cfg = make_cfg(spec, subsample_ratio=0.5, horizon=40, local_steps=4)
-    a = run_chain(cfg, spec, 0).thetas
-    b = run_chain(cfg, spec, 0).thetas
+    a = one_chain(cfg, spec, 0)
+    b = one_chain(cfg, spec, 0)
     assert np.array_equal(a, b)
     assert np.isfinite(a).all()
 
@@ -482,18 +488,10 @@ def test_config_validation():
     # checks against the federation run when the chain starts
     unbalanced = gen_gaussian_federation(2, 0.0, [3, 5], REF_SIGMA, 0)
     with pytest.raises(EngineError, match="balanced"):
-        run_chain(make_cfg(unbalanced, local_steps=1, horizon=4, scheme=SchemeII(1)), unbalanced, 0)
+        one_chain(make_cfg(unbalanced, local_steps=1, horizon=4, scheme=SchemeII(1)), unbalanced, 0)
     with pytest.raises(EngineError, match="S"):
-        run_chain(make_cfg(spec, scheme=SchemeI(9)), spec, 0)
-    with pytest.raises(EngineError, match="init"):
-        run_chain(make_cfg(spec, init=np.zeros(3)), spec, 0)
+        one_chain(make_cfg(spec, scheme=SchemeI(9)), spec, 0)
+    for init in (np.zeros(3), np.zeros((3, 2))):  # one (d,) start, not one per client
+        with pytest.raises(EngineError, match="init"):
+            one_chain(make_cfg(spec, init=init), spec, 0)
 
-
-def test_trajectory_rounds_and_eta_metadata():
-    spec = make_spec()
-    cfg = make_cfg(spec, horizon=20, local_steps=5)
-    traj = run_chain(cfg, spec, 0)
-    assert traj.rounds.tolist() == [0, 1, 2, 3, 4]
-    assert traj.iterations.tolist() == [0, 5, 10, 15, 20]
-    assert np.all(traj.etas == 1e-3)
-    assert traj.final_thetas.shape == (4, 2)
