@@ -1,5 +1,11 @@
 """Federated averaging Langevin dynamics: simulation, bounds, privacy accounting."""
 
+import os as _os
+
+# d x d matrices gain nothing from a threaded BLAS; the worker pool is the one level of parallelism
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .engine import (
     ChainDivergenceError,
     DecayingStep,

@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, List, Optional
@@ -39,9 +39,12 @@ _CSV_CHUNK_ROWS = 4096  # rows formatted at a time
 def _workers() -> int:
     raw = os.environ.get("FALD_THREADS", "0")
     try:
-        return engine.resolve_workers(int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"FALD_THREADS must be an integer, got {raw!r}") from None
+    if workers < 0:
+        raise ConfigError(f"FALD_THREADS must be >= 0 (0 = all CPUs), got {raw!r}")
+    return engine.resolve_workers(workers)
 
 
 def _fmt(value) -> str:
@@ -475,7 +478,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as err:
+    except BrokenExecutor as err:
         print(f"error: a worker process died ({err}); FALD_THREADS=1 runs without workers", file=sys.stderr)
         return 3
     except (ChainDivergenceError, theory.TheoryError, privacy.PrivacyError,

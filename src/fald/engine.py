@@ -16,7 +16,6 @@ in any way without changing a single bit of the output.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -375,6 +374,8 @@ def run_replicated(cfg: RunConfig, model, R: int, workers: int = 1) -> np.ndarra
         return run_block(cfg, model, range(R)).records
     bounds = np.linspace(0, R, workers + 1).astype(int)
     slices = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only when a pool starts
+
     with ProcessPoolExecutor(max_workers=len(slices)) as pool:
         parts = list(pool.map(_block_task, [(cfg, model, s) for s in slices]))
     return np.concatenate(parts, axis=0)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import re
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from fald import cli, config, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
 from fald.engine import FixedStep, FullDevice, SchemeI, SchemeII, run_block
-from tests_support_golden import GOLDEN_CONFIGS
+from tests_support_golden import BLAS_THREAD_VARS, GOLDEN_CONFIGS
 
 MINIMAL = """
 # smallest valid experiment description
@@ -381,6 +382,18 @@ def test_worker_crash_exit_code(tmp_path, monkeypatch, capsys):
     assert "worker process died" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads, message", [
+    ("two", "FALD_THREADS must be an integer, got 'two'"),
+    ("-3", "FALD_THREADS must be >= 0"),
+])
+def test_fald_threads_not_a_count_exits_2(threads, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FALD_THREADS", threads)
+    path = write_config(tmp_path, RUN_GAUSSIAN)
+    assert run_cli(["run", path, "--outdir", tmp_path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_zero_temperature_run_targets_point_mass(tmp_path):
     # a noiseless chain is measured against the point mass, not the tau = 1 posterior
     path = write_config(tmp_path, RUN_GAUSSIAN.replace("tau = 1.0", "tau = 0.0"))
@@ -595,6 +608,19 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dataset.csv").exists()
+
+
+def test_startup_keeps_blas_on_one_thread_and_loads_no_pool():
+    # a fresh interpreter: pytest has already imported numpy and fald in this one
+    probe = (
+        "import json, os, sys; import fald.cli; print(json.dumps({'env': [os.environ.get(v) for v in %r], "
+        "'loaded': [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]}))"
+    ) % (BLAS_THREAD_VARS,)
+    clean = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    for preset, expected in (({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])):
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={**clean, **preset})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"env": expected, "loaded": []}
 
 
 def test_library_call_forms_of_the_benchmark():

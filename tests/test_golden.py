@@ -1,8 +1,19 @@
 """Byte-level pins of CLI outputs for every engine path (see tests_support_golden)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from tests_support_golden import GOLDEN_CONFIGS, load_pins, output_digests, platform_facts
+from tests_support_golden import (
+    ANALYSED,
+    BLAS_THREAD_VARS,
+    GOLDEN_CONFIGS,
+    load_pins,
+    output_digests,
+    platform_facts,
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
@@ -17,3 +28,19 @@ def test_golden_digests(name, tmp_path, monkeypatch):
             f"{name}: {file} changed; pinned with numpy {pins['numpy']} on {pins['machine']}, "
             f"running numpy {here['numpy']} on {here['machine']}"
         )
+
+
+def fald_process(argv: list) -> int:
+    """``python -m fald.cli argv`` in a fresh interpreter that sets its own BLAS thread count."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    env["FALD_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "fald.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.returncode
+
+
+@pytest.mark.parametrize("name", ANALYSED)
+def test_golden_digests_through_a_fald_process(name, tmp_path):
+    # test_golden_digests runs after pytest has loaded numpy, so its BLAS never
+    # sees the thread setting a fald process makes before importing numpy
+    assert output_digests(name, tmp_path, fald_process) == load_pins()["digests"][name]

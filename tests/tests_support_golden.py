@@ -81,6 +81,8 @@ ANALYSIS_FILES = {"plan": "plan.txt", "bounds": "bounds.csv", "privacy": "privac
 ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1")
 GEN_DATA = ("gaussian-full-q1", "logistic-full-q1")
 SWEEP_FILES = ("sweep.csv", "sweep_t_eps.csv")
+# what `import fald` sets to "1" unless already set: a fald process runs BLAS on one thread
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _configs() -> dict:
@@ -130,10 +132,16 @@ def platform_facts() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine()}
 
 
-def output_digests(name: str, workdir: Path) -> dict:
-    """Run config ``name`` through the CLI in this process; file name -> SHA-256."""
+def in_process(argv: list) -> int:
+    """``fald argv`` through ``cli.main`` in this process, stdout discarded; the exit code."""
     from fald import cli
 
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def output_digests(name: str, workdir: Path, fald=in_process) -> dict:
+    """Run config ``name`` through ``fald`` (argv -> exit code); file name -> SHA-256."""
     cfg_path = workdir / f"{name.replace(':', '_')}.cfg"
     cfg_path.write_text(GOLDEN_CONFIGS[name], encoding="utf-8")
     # sweep_t_eps.csv is written only when the config sets target_eps
@@ -146,8 +154,7 @@ def output_digests(name: str, workdir: Path) -> dict:
     digests = {}
     for command, files in commands.items():
         outdir = workdir / f"{cfg_path.stem}-{command}"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([command, str(cfg_path), "--outdir", str(outdir)])
+        code = fald([command, str(cfg_path), "--outdir", str(outdir)])
         if code != 0:
             raise RuntimeError(f"fald {command} on golden config {name} exited {code}")
         for file in files:
