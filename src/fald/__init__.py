@@ -23,7 +23,7 @@ from .model import (
     GaussianModelSpec,
     LogisticModelSpec,
     client_grad,
-    client_grad_stochastic,
+    client_grads,
     constants,
     gen_gaussian_federation,
     gen_logistic_federation,

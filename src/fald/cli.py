@@ -345,11 +345,11 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
 def _bound_inputs(cfg: ExperimentConfig, spec, consts, K: int, scheme, eta=None) -> theory.BoundInputs:
     return theory.bound_inputs(
         consts,
-        tau=cfg.tau,
+        tau=spec.tau,
         d=spec.dim,
         K=K,
         rho=cfg.rho,
-        N=cfg.n_clients,
+        N=spec.data.n_clients,
         min_pc=float(np.min(spec.data.weights)),
         scheme=scheme,
         eta=eta,
@@ -391,12 +391,12 @@ def _dp_params(cfg: ExperimentConfig, spec) -> privacy.DpParams:
             delta_l=cfg.delta_l,
             q=cfg.subsample_ratio,
             eta=cfg.eta,
-            tau=cfg.tau,
+            tau=spec.tau,
             rho=cfg.rho,
             min_pc=float(np.min(spec.data.weights)),
             K=cfg.k_local,
             T=cfg.horizon,
-            N=cfg.n_clients,
+            N=spec.data.n_clients,
             scheme=_scheme(cfg.scheme, cfg.s_devices),
             delta0=cfg.delta0,
             delta1=cfg.delta1,

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import model as model_mod
-from .model import GaussianModelSpec, LogisticModelSpec, subsample_size
+from .model import GaussianModelSpec, LogisticModelSpec
 from .streams import SHARED, key_grid, normals_for_keys, uniforms_for_keys
 
 DIVERGENCE_LIMIT = 1e12
@@ -235,32 +235,6 @@ def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=
 # chain execution
 
 
-def _size_groups(model):
-    """(n_c, clients) for each distinct client size; a slice selects them all when sizes agree."""
-    counts = model.data.counts
-    sizes = np.unique(counts)
-    if len(sizes) == 1:
-        return [(int(sizes[0]), slice(None))]
-    return [(int(n_c), np.flatnonzero(counts == n_c)) for n_c in sizes]
-
-
-def _grads(model, q: float, thetas: np.ndarray, sub_keys, groups) -> np.ndarray:
-    """Gradient estimates for all clients; thetas (B, N, d) -> (B, N, d).
-
-    Minibatches are drawn and evaluated for all clients of one size group at
-    once; ``groups`` is `_size_groups(model)`.  At q = 1 the subset is every
-    point in index order (idx None), except in the Gaussian closed form.
-    """
-    if q == 1.0 and isinstance(model, GaussianModelSpec):
-        return model_mod.gaussian_client_grads(model, thetas)
-    oracle = model_mod.subset_grad_oracle(model)
-    out = np.empty_like(thetas)
-    for n_c, cs in groups:
-        idx = None if q == 1.0 else model_mod.subsample_indices(sub_keys[:, cs], n_c, subsample_size(q, n_c))
-        out[:, cs] = oracle(model, cs, thetas[:, cs], idx, q)
-    return out
-
-
 def _check_state(thetas, reps, iteration):
     # max() propagates NaN, so one reduction covers both guards
     worst = float(np.abs(thetas).max())
@@ -313,7 +287,6 @@ def run_block(cfg: RunConfig, model, replications) -> BlockResult:
     clients = list(range(N))
     block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, _floats_per_iteration(B, N, d, q))))
     partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
-    groups = _size_groups(model)
 
     for k0 in range(0, T, block):
         k1 = min(T, k0 + block)
@@ -328,12 +301,10 @@ def run_block(cfg: RunConfig, model, replications) -> BlockResult:
             cfg.rho,
             weights,
         )
-        sub_keys = None
-        if q < 1.0:
-            sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE)
+        sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE) if q < 1.0 else None
 
         for kb, k in enumerate(range(k0, k1)):
-            grads = _grads(model, q, thetas, sub_keys[:, kb] if sub_keys is not None else None, groups)
+            grads = model_mod.client_grads(model, thetas, q, sub_keys[:, kb] if q < 1.0 else None)
             thetas = local_step(thetas, grads, noise[:, kb], float(etas[k]))
             _check_state(thetas, reps, k)
             if (k + 1) % K == 0:
@@ -357,7 +328,9 @@ def resolve_workers(workers: Optional[int]) -> int:
     """Map a worker request to a positive count; None/0 means all CPUs."""
     if workers is None or workers == 0:
         return os.cpu_count() or 1
-    return max(1, int(workers))
+    if workers < 0:
+        raise EngineError(f"worker count must be >= 0 (0 = all CPUs), got {workers}")
+    return int(workers)
 
 
 def run_replicated(cfg: RunConfig, model, R: int, workers: int = 1) -> np.ndarray:

@@ -72,6 +72,12 @@ class FederatedDataset:
         object.__setattr__(self, "all_points", np.concatenate(self.clients))
         object.__setattr__(self, "all_labels", None if self.labels is None else np.concatenate(self.labels))
         object.__setattr__(self, "client_starts", np.cumsum(self.counts) - self.counts)
+        # (n_c, clients) per distinct client size; a slice selects them all when sizes agree
+        sizes = sorted({c.shape[0] for c in self.clients})
+        groups = [(sizes[0], slice(None))]
+        if len(sizes) > 1:
+            groups = [(n_c, np.flatnonzero(self.counts == n_c)) for n_c in sizes]
+        object.__setattr__(self, "size_groups", groups)
 
     @property
     def n_clients(self) -> int:
@@ -296,11 +302,30 @@ def _check_theta(model, theta) -> np.ndarray:
 def client_grad(model, c: int, theta: np.ndarray) -> np.ndarray:
     """Exact per-client gradient (1/p_c) sum_i grad l(theta; x_{c,i})."""
     theta = _check_theta(model, theta)
+    return client_grads(model, np.broadcast_to(theta, (1, model.data.n_clients, model.dim)))[0, c]
+
+
+def client_grads(model, thetas: np.ndarray, q: float = 1.0, keys=None) -> np.ndarray:
+    """Gradient estimates for every client; thetas (B, N, d) -> (B, N, d).
+
+    At q = 1 the exact gradients: the Gaussian closed form, or every point in
+    index order.  Otherwise client c's minibatch of `subsample_size` points is
+    drawn from stream key keys[:, c] by `subsample_indices` and scaled by
+    1/(q p_c); each size group of clients is evaluated in one oracle call.
+    """
     if isinstance(model, GaussianModelSpec):
-        return gaussian_client_grads(model, theta[None, None, :])[0, c]
-    if isinstance(model, LogisticModelSpec):
-        return logistic_client_grad(model, c, theta[None, :])[0]
-    raise ModelError(f"unsupported model type {type(model).__name__}")
+        if q == 1.0:
+            return gaussian_client_grads(model, thetas)
+        oracle = gaussian_client_grad_subset
+    elif isinstance(model, LogisticModelSpec):
+        oracle = logistic_client_grad
+    else:
+        raise ModelError(f"unsupported model type {type(model).__name__}")
+    out = np.empty_like(thetas)
+    for n_c, cs in model.data.size_groups:
+        idx = None if q == 1.0 else subsample_indices(keys[:, cs], n_c, subsample_size(q, n_c))
+        out[:, cs] = oracle(model, cs, thetas[:, cs], idx, q)
+    return out
 
 
 def subsample_size(q: float, n_c: int) -> int:
@@ -334,35 +359,6 @@ def _rank_smallest(bits: np.ndarray, size: int) -> np.ndarray:
     bits |= np.arange(n, dtype=np.uint64)
     bits.sort(axis=-1)
     return (bits[..., :size] & np.uint64((1 << s) - 1)).astype(np.int64)
-
-
-def client_grad_stochastic(model, c: int, theta: np.ndarray, q: float, key: int) -> np.ndarray:
-    """Minibatch gradient (1/(q p_c)) sum_{i in S} grad l(theta; x_{c,i}).
-
-    S is a uniform without-replacement subset of size floor(q n_c) (>= 1),
-    drawn from the stream with key ``key``; unbiased for `client_grad`
-    whenever q n_c is an integer.  q = 1 returns exactly the exact gradient.
-    """
-    theta = _check_theta(model, theta)
-    if q == 1.0:
-        return client_grad(model, c, theta)
-    return _minibatch_grads(model, c, theta[None, :], np.asarray([key], dtype=np.uint64), q)[0]
-
-
-def _minibatch_grads(model, c: int, thetas: np.ndarray, keys: np.ndarray, q: float) -> np.ndarray:
-    """Minibatch gradients for client c, one subset per key; thetas (B, d), keys (B,)."""
-    n_c = model.data.clients[c].shape[0]
-    idx = subsample_indices(keys, n_c, subsample_size(q, n_c))
-    return subset_grad_oracle(model)(model, c, thetas, idx, q)
-
-
-def subset_grad_oracle(model):
-    """The model's minibatch gradient, called as in `gaussian_client_grad_subset`."""
-    if isinstance(model, GaussianModelSpec):
-        return gaussian_client_grad_subset
-    if isinstance(model, LogisticModelSpec):
-        return logistic_client_grad
-    raise ModelError(f"unsupported model type {type(model).__name__}")
 
 
 def gaussian_client_grads(model: GaussianModelSpec, thetas: np.ndarray) -> np.ndarray:
@@ -493,11 +489,9 @@ def constants(
     else:
         theta_star = _newton_minimize(model)
 
-    gamma_het = max(
-        float(np.linalg.norm(client_grad(model, c, theta_star)))
-        for c in range(model.data.n_clients)
-    )
     d = model.dim
+    exact = client_grads(model, np.broadcast_to(theta_star, (1, model.data.n_clients, d)))[0]
+    gamma_het = max(float(np.linalg.norm(g)) for g in exact)
     sigma_sg = _estimate_sigma_sg(model, theta_star, subsample_ratio, probe_points, mc_draws, seed)
     return EnergyConstants(
         L=L,
@@ -510,31 +504,29 @@ def constants(
 
 
 def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> float:
-    """Worst probe/client mean squared minibatch error, one batched oracle call per pair.
+    """Worst probe/client mean squared minibatch error, one batched oracle call per probe.
 
-    Draw ``draw`` at probe p and client c uses stream key
-    seed + 7919 (p 104729 + c 1299709 + draw); each draw's squared error is
+    Draw j at probe p and client c uses stream key
+    seed + 7919 (p 104729 + c 1299709 + j); each draw's squared error is
     summed over coordinates, then accumulated over draws in draw order.
     """
     if q >= 1.0:
         return 0.0
-    d = model.dim
+    d, N = model.dim, model.data.n_clients
     rng = np.random.default_rng(seed)
-    draws = np.arange(mc_draws, dtype=np.uint64)
+    steps = np.arange(mc_draws, dtype=np.uint64)[:, None] + np.uint64(1299709) * np.arange(N, dtype=np.uint64)
+    span = 1299709 * (N - 1) + mc_draws - 1  # steps[-1, -1] as a Python int
     worst = 0.0
     for p in range(probe_points):
         theta = theta_star + rng.standard_normal(d) / np.sqrt(d)
-        thetas = np.broadcast_to(theta, (mc_draws, d))
-        for c in range(model.data.n_clients):
-            exact = client_grad(model, c, theta)
-            base = p * 104729 + c * 1299709
-            # both end keys are exact Python ints; converting them raises if
-            # either leaves uint64, so no key in between can wrap
-            first, _ = np.array([seed + 7919 * base, seed + 7919 * (base + mc_draws - 1)], dtype=np.uint64)
-            keys = first + np.uint64(7919) * draws
-            g = _minibatch_grads(model, c, thetas, keys, q)
-            sq = float(np.cumsum(np.sum((g - exact) ** 2, axis=1))[-1])
-            worst = max(worst, sq / mc_draws / d)
+        thetas = np.broadcast_to(theta, (mc_draws, N, d))
+        # the end keys (client 0, draw 0 and client N-1, draw mc_draws-1) are exact Python
+        # ints; converting them raises if either leaves uint64, so no key in between can wrap
+        base = p * 104729
+        first, _ = np.array([seed + 7919 * base, seed + 7919 * (base + span)], dtype=np.uint64)
+        g = client_grads(model, thetas, q, first + np.uint64(7919) * steps)
+        sq = np.cumsum(np.sum((g - client_grads(model, thetas[:1])) ** 2, axis=2), axis=0)[-1]
+        worst = max(worst, float(sq.max()) / mc_draws / d)  # division is monotone: the max of the quotients
     return float(np.sqrt(1.5 * worst))
 
 

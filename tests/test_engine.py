@@ -21,12 +21,12 @@ from fald.engine import (
 )
 from fald.model import (
     client_grad,
-    client_grad_stochastic,
     energy,
     gen_gaussian_federation,
     gen_logistic_federation,
 )
 from fald.streams import SHARED, key_grid, normals_for_keys, stream_key
+from tests_support_minibatch import one_minibatch_grad
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -251,7 +251,7 @@ def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
         shared = normals_for_keys(stream_key(6, 1, k, SHARED, "noise"), spec.dim)
         betas = np.empty((len(p), spec.dim))
         for c in range(len(p)):
-            grad = client_grad_stochastic(spec, c, theta, 0.5, stream_key(6, 1, k, c, "subsample"))
+            grad = one_minibatch_grad(spec, c, theta, 0.5, stream_key(6, 1, k, c, "subsample"))
             private = normals_for_keys(stream_key(6, 1, k, c, "noise"), spec.dim)
             noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.3, p[c:c + 1])[0]
             betas[c] = local_step(theta, grad, noise, 1e-3)
@@ -437,6 +437,12 @@ def test_replication_count_validated():
     spec = make_spec()
     with pytest.raises(EngineError):
         run_replicated(make_cfg(spec), spec, 1)
+
+
+def test_negative_worker_count_rejected():
+    spec = make_spec()
+    with pytest.raises(EngineError, match="worker count"):
+        run_replicated(make_cfg(spec), spec, 4, workers=-3)
 
 
 def _diverging_case():

@@ -12,7 +12,7 @@ from fald.model import (
     apply_matrix,
     ModelError,
     client_grad,
-    client_grad_stochastic,
+    client_grads,
     constants,
     energy,
     gaussian_client_grad_subset,
@@ -28,6 +28,7 @@ from fald.model import (
     target_posterior,
 )
 from fald.streams import key_grid, stream_key, uniforms_for_keys
+from tests_support_minibatch import one_minibatch_grad
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -161,10 +162,32 @@ def test_non_finite_theta_rejected():
 
 
 def test_full_batch_equals_exact():
+    # at q = 1 the keys are ignored and every client gets its exact gradient
     spec = make_spec(points=6)
     theta = np.array([0.3, -0.2])
-    key = stream_key(0, 0, 0, 0, "subsample")
-    assert np.array_equal(client_grad_stochastic(spec, 0, theta, 1.0, key), client_grad(spec, 0, theta))
+    keys = key_grid(0, [0], [0], range(3), "subsample")[0]
+    grads = client_grads(spec, np.broadcast_to(theta, (1, 3, 2)), 1.0, keys)
+    for c in range(3):
+        assert np.array_equal(grads[0, c], client_grad(spec, c, theta))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+def test_client_grads_match_one_client_forms(family):
+    sizes = [6, 5, 6, 3]
+    if family == "gaussian":
+        spec = make_spec(n_clients=4, points=sizes, seed=5)
+    else:
+        spec = gen_logistic_federation(4, 0.5, sizes, 2, 3, seed=5, ridge=0.05, n_test=1)[0]
+    assert [(n_c, cs.tolist()) for n_c, cs in spec.data.size_groups] == [(3, [3]), (5, [1]), (6, [0, 2])]
+    thetas = np.random.default_rng(3).standard_normal((3, 4, spec.dim))
+    keys = key_grid(8, range(3), [2], range(4), "subsample")[:, 0]
+    exact = client_grads(spec, thetas)
+    mini = client_grads(spec, thetas, 0.5, keys)
+    assert not np.array_equal(mini, exact)
+    for b in range(3):
+        for c in range(4):
+            assert np.array_equal(exact[b, c], client_grad(spec, c, thetas[b, c]))
+            assert np.array_equal(mini[b, c], one_minibatch_grad(spec, c, thetas[b, c], 0.5, int(keys[b, c])))
 
 
 def test_subsample_indices_batch_matches_single_keys():
@@ -282,10 +305,8 @@ def test_stochastic_gradient_unbiased():
     theta = np.array([0.8, -0.1])
     exact = client_grad(spec, 0, theta)
     draws = 100_000
-    samples = np.empty((draws, 2))
-    for i in range(draws):
-        key = stream_key(123, 0, i, 0, "subsample")
-        samples[i] = client_grad_stochastic(spec, 0, theta, 0.5, key)
+    keys = key_grid(123, [0], range(draws), range(2), "subsample")[0]
+    samples = client_grads(spec, np.broadcast_to(theta, (draws, 2, 2)), 0.5, keys)[:, 0]
     err = samples.mean(axis=0) - exact
     band = 4.0 * samples.std(axis=0, ddof=1) / np.sqrt(draws)
     assert np.all(np.abs(err) <= band)
@@ -295,13 +316,11 @@ def test_stochastic_second_moment_within_reported_scale():
     spec = make_spec(n_clients=2, points=8, seed=4)
     consts = constants(spec, theta0_radius=1.0, subsample_ratio=0.5, seed=11)
     theta = consts.theta_star + 0.1
-    sq = 0.0
     draws = 20_000
     exact = client_grad(spec, 0, theta)
-    for i in range(draws):
-        key = stream_key(7, 0, i, 0, "subsample")
-        g = client_grad_stochastic(spec, 0, theta, 0.5, key)
-        sq += float(np.sum((g - exact) ** 2))
+    keys = key_grid(7, [0], range(draws), range(2), "subsample")[0]
+    g = client_grads(spec, np.broadcast_to(theta, (draws, 2, 2)), 0.5, keys)[:, 0]
+    sq = float(np.sum((g - exact) ** 2))
     assert sq / draws <= consts.sigma_sg ** 2 * spec.dim
 
 
@@ -317,7 +336,7 @@ def scalar_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed):
             sq = 0.0
             for draw in range(mc_draws):
                 key = seed + 7919 * (p * 104729 + c * 1299709 + draw)
-                g = client_grad_stochastic(model, c, theta, q, key)
+                g = one_minibatch_grad(model, c, theta, q, key)
                 sq += float(np.sum((g - exact) ** 2))
             worst = max(worst, sq / mc_draws / d)
     return float(np.sqrt(1.5 * worst))
@@ -339,6 +358,14 @@ def test_sigma_sg_key_overflow_raises():
     # the first key is 2**64 - 1; the second does not fit in 64 bits
     with pytest.raises(OverflowError):
         constants(make_spec(), 0.0, subsample_ratio=0.5, probe_points=1, mc_draws=2, seed=2**64 - 1)
+
+
+def test_sigma_sg_key_range_spans_every_client():
+    # client 0's keys fit in 64 bits; the last key of client 2 (of 3) is exactly 2**64
+    seed = 2**64 - 7919 * (2 * 1299709 + 1)
+    assert seed + 7919 < 2**64
+    with pytest.raises(OverflowError):
+        constants(make_spec(), 0.0, subsample_ratio=0.5, probe_points=1, mc_draws=2, seed=seed)
 
 
 # ---------------------------------------------------------------------------
