@@ -246,11 +246,6 @@ def cmd_gen_data(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _run_one(cfg: ExperimentConfig, spec, run_cfg: RunConfig, workers: int):
-    require(cfg, "replications")
-    return engine.run_replicated(run_cfg, spec, cfg.replications, workers=workers)
-
-
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     spec, test_x, test_y = build_model(cfg)
     run_cfg = build_run_config(cfg, spec)
@@ -262,7 +257,8 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
                 "convergence bounds do not apply",
                 file=sys.stderr,
             )
-    records = _run_one(cfg, spec, run_cfg, _workers())
+    require(cfg, "replications")
+    records = engine.run_replicated(run_cfg, spec, cfg.replications, workers=_workers())
 
     R, n_rows, d = records.shape
     rounds = np.arange(n_rows)
@@ -303,17 +299,18 @@ def _sweep_points(cfg: ExperimentConfig, spec):
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep axis")
+    require(cfg, "replications")
     spec, test_x, test_y = build_model(cfg)
-    workers = _workers()
     long_rows = []
     t_eps_rows = []
     with_t_eps = cfg.model == "gaussian" and cfg.target_eps is not None
     curves: dict = {}
-    for label, point_spec, run_cfg in _sweep_points(cfg, spec):
-        try:
-            records = _run_one(cfg, point_spec, run_cfg, workers)
-        except ChainDivergenceError as err:
-            print(f"sweep value {label}: {err}", file=sys.stderr)
+    points = list(_sweep_points(cfg, spec))
+    # one lockstep batch and one process pool for every value; a diverging value stops alone
+    outcomes = engine.run_sweep([p[2] for p in points], [p[1] for p in points], cfg.replications, _workers())
+    for (label, point_spec, run_cfg), records in zip(points, outcomes):
+        if isinstance(records, ChainDivergenceError):
+            print(f"sweep value {label}: {records}", file=sys.stderr)
             long_rows.append((label, 0, "truncated", 1.0))
             if with_t_eps:
                 t_eps_rows.append((label, math.inf, math.inf))

@@ -9,8 +9,8 @@ output is that synchronized state at each communication round.
 Determinism contract: a chain's trajectory is a pure function of
 (config, model, replication id).  All randomness comes from counter-based
 streams and every reduction that mixes clients or coordinates runs in fixed
-index order, so replications can be batched or distributed across processes
-in any way without changing a single bit of the output.
+index order, so replications, and the points of a sweep, can be batched or
+distributed across processes in any way without changing a single bit.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ def injected_noise(shared, private, eta, tau, rho, weights) -> np.ndarray:
 
     ``shared`` (..., 1, d) holds the normals common to all clients and
     ``private`` (..., N, d) one row per client; ``weights`` are the N client
-    weights p_c.  ``eta`` is a scalar or an array broadcasting against the
-    (..., N, d) result, such as one step size per iteration shaped (T, 1, 1).
+    weights p_c.  ``eta`` and ``rho`` are scalars or arrays broadcasting against
+    the (..., N, d) result, such as one step size per iteration shaped (T, 1, 1).
     Both terms are formed even at rho in {0, 1}, so the engine always draws
     both sets of normals and its stream layout does not depend on rho.
     """
-    eta = np.asarray(eta, dtype=np.float64)
+    eta, rho = np.asarray(eta, dtype=np.float64), np.asarray(rho, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(eta <= 0) or tau < 0 or not 0 <= rho <= 1 or np.any(weights <= 0) or np.any(weights > 1):
+    if np.any(eta <= 0) or tau < 0 or np.any((rho < 0) | (rho > 1)) or np.any(weights <= 0) or np.any(weights > 1):
         raise EngineError("invalid noise parameters")
     shared_scale = np.sqrt(2.0 * eta * tau * rho * rho)
     private_scale = np.sqrt(2.0 * eta * tau * (1.0 - rho * rho) / weights[:, None])
@@ -235,26 +235,32 @@ def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=
 # chain execution
 
 
-def _check_state(thetas, reps, iteration):
+def _check_state(thetas, reps, iteration) -> Optional[ChainDivergenceError]:
+    """The divergence in one point's (B, N, d) state, or None: the first NaN, else the largest |theta|."""
     # max() propagates NaN, so one reduction covers both guards
     worst = float(np.abs(thetas).max())
     if not np.isfinite(worst):
         b, c = np.argwhere(~np.isfinite(thetas))[0][:2]
-        raise ChainDivergenceError(int(reps[b]), iteration, int(c), np.nan, kind="nan")
+        return ChainDivergenceError(int(reps[b]), iteration, int(c), np.nan, kind="nan")
     if worst > DIVERGENCE_LIMIT:
         b, c = np.argwhere(np.abs(thetas) == worst)[0][:2]
-        raise ChainDivergenceError(int(reps[b]), iteration, int(c), worst)
+        return ChainDivergenceError(int(reps[b]), iteration, int(c), worst)
 
 
-def _check_model(cfg: RunConfig, model) -> None:
-    """Checks that need both the run config and the model's federation."""
-    if not isinstance(model, (GaussianModelSpec, LogisticModelSpec)):
-        raise EngineError(f"unsupported model type {type(model).__name__}")
-    w = model.data.weights
-    if isinstance(cfg.scheme, (SchemeI, SchemeII)) and not 1 <= cfg.scheme.s <= len(w):
-        raise EngineError("partial schemes need 1 <= S <= n_clients")
-    if isinstance(cfg.scheme, SchemeII) and np.max(np.abs(w - w[0])) > 1e-12:
-        raise EngineError("scheme II requires balanced client weights")
+def _check_points(cfgs, models) -> None:
+    """Checks that every point fits its model and that the points can share their streams."""
+    for cfg, model in zip(cfgs, models):
+        if not isinstance(model, (GaussianModelSpec, LogisticModelSpec)):
+            raise EngineError(f"unsupported model type {type(model).__name__}")
+        w = model.data.weights
+        if isinstance(cfg.scheme, (SchemeI, SchemeII)) and not 1 <= cfg.scheme.s <= len(w):
+            raise EngineError("partial schemes need 1 <= S <= n_clients")
+        if isinstance(cfg.scheme, SchemeII) and np.max(np.abs(w - w[0])) > 1e-12:
+            raise EngineError("scheme II requires balanced client weights")
+    shared = {(c.horizon, c.master_seed, c.subsample_ratio, m.tau, m.data.counts.tobytes(), m.data.weights.tobytes())
+              for c, m in zip(cfgs, models)}
+    if len(shared) != 1 or len(cfgs) != len(models):
+        raise EngineError("sweep points need one model each and a common horizon, seed, subsample_ratio, tau and clients")
 
 
 def _initial_thetas(cfg: RunConfig, N: int, d: int, B: int) -> np.ndarray:
@@ -266,62 +272,85 @@ def _initial_thetas(cfg: RunConfig, N: int, d: int, B: int) -> np.ndarray:
     return np.broadcast_to(init, (B, N, d)).copy()
 
 
-def _floats_per_iteration(B: int, N: int, d: int, q: float) -> int:
-    """Floats per iteration of a noise block: normals, their keys, noise and subsample keys."""
-    return B * ((N + 1) * (2 * ((d + 1) // 2) + 1) + N * d + (N if q < 1.0 else 0))
+def _floats_per_iteration(B: int, N: int, d: int, q: float, P: int = 1) -> int:
+    """Floats per iteration of a noise block: normals, their keys, P points' noise and subsample keys."""
+    return B * ((N + 1) * (2 * ((d + 1) // 2) + 1) + P * N * d + (N if q < 1.0 else 0))
 
 
-def run_block(cfg: RunConfig, model, replications) -> BlockResult:
-    """Run a batch of chains in lockstep; bit-identical to running them one by one."""
-    _check_model(cfg, model)
+def _lockstep(cfgs, models, replications) -> list:
+    """Run the points (cfgs[i], models[i]) of a sweep in lockstep; one outcome per point.
+
+    An outcome is the point's (B, rounds + 1, d) records or the
+    ChainDivergenceError that `run_block` on that point alone raises; a
+    diverged point leaves the stack and the others go on.  Each block's noise
+    normals and subsample keys and each sync's device keys are drawn once for
+    all points, whose states are stacked as (P, B, N, d); every operation is
+    elementwise across points, so each point keeps the bits of its own run.
+    """
+    _check_points(cfgs, models)
     reps = np.asarray(list(replications), dtype=np.int64)
-    weights = model.data.weights
-    B, N, d = len(reps), len(weights), model.dim
-    T, K, q, seed = cfg.horizon, cfg.local_steps, cfg.subsample_ratio, cfg.master_seed
-    etas = step_size(cfg.schedule, np.arange(T))
-    thetas = _initial_thetas(cfg, N, d, B)
+    model, weights = models[0], models[0].data.weights
+    P, B, N, d = len(cfgs), len(reps), len(weights), model.dim
+    T, q, seed = cfgs[0].horizon, cfgs[0].subsample_ratio, cfgs[0].master_seed
+    etas = np.stack([step_size(cfg.schedule, np.arange(T)) for cfg in cfgs])  # (P, T)
+    rhos = np.array([cfg.rho for cfg in cfgs])
+    thetas = np.stack([_initial_thetas(cfg, N, d, B) for cfg in cfgs])
+    outcomes = [np.empty((B, T // cfg.local_steps + 1, d)) for cfg in cfgs]
+    for p in range(P):
+        outcomes[p][:, 0, :] = synchronize(thetas[p], weights, FullDevice())
+    live = list(range(P))  # the point of each row of the stack
+    one_model = all(m is model for m in models)  # else (an alpha sweep) one gradient call per point
 
-    records = np.empty((B, T // K + 1, d))
-    records[:, 0, :] = synchronize(thetas, weights, FullDevice())
-
-    clients = list(range(N))
-    block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, _floats_per_iteration(B, N, d, q))))
-    partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
+    block = max(1, min(T, _BLOCK_BUDGET_FLOATS // max(1, _floats_per_iteration(B, N, d, q, P))))
 
     for k0 in range(0, T, block):
         k1 = min(T, k0 + block)
         iters = np.arange(k0, k1)
         shared = normals_for_keys(key_grid(seed, reps, iters, [SHARED], _NOISE_PURPOSE), d)
-        # (B, block, N, d); the private normals are dropped once scaled
-        noise = injected_noise(
-            shared,
-            normals_for_keys(key_grid(seed, reps, iters, clients, _NOISE_PURPOSE), d),
-            etas[k0:k1, None, None],
-            model.tau,
-            cfg.rho,
-            weights,
-        )
-        sub_keys = key_grid(seed, reps, iters, clients, _SUBSAMPLE_PURPOSE) if q < 1.0 else None
+        # (P, B, block, N, d); the private normals are dropped once scaled
+        noise = injected_noise(shared, normals_for_keys(key_grid(seed, reps, iters, range(N), _NOISE_PURPOSE), d),
+                               etas[:, None, k0:k1, None, None], model.tau, rhos[:, None, None, None, None], weights)
+        sub_keys = key_grid(seed, reps, iters, range(N), _SUBSAMPLE_PURPOSE) if q < 1.0 else None
 
         for kb, k in enumerate(range(k0, k1)):
-            grads = model_mod.client_grads(model, thetas, q, sub_keys[:, kb] if q < 1.0 else None)
-            thetas = local_step(thetas, grads, noise[:, kb], float(etas[k]))
-            _check_state(thetas, reps, k)
-            if (k + 1) % K == 0:
-                sampled = None
-                if partial:
+            keys = sub_keys[:, kb] if q < 1.0 else None
+            grads = (model_mod.client_grads(model, thetas, q, keys) if one_model else
+                     np.stack([model_mod.client_grads(models[p], t, q, keys) for p, t in zip(live, thetas)]))
+            thetas = local_step(thetas, grads, noise[:, :, kb], etas[:, k, None, None, None])
+            if not np.abs(thetas).max() <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
+                errors = [_check_state(t, reps, k) for t in thetas]
+                for p, err in zip(live, errors):
+                    outcomes[p] = err or outcomes[p]
+                keep = [i for i, err in enumerate(errors) if err is None]
+                if not keep:
+                    return outcomes
+                live = [live[i] for i in keep]
+                thetas, noise, etas, rhos = thetas[keep], noise[keep], etas[keep], rhos[keep]
+            dev_keys = None
+            for i, p in enumerate(live):
+                cfg = cfgs[p]
+                if (k + 1) % cfg.local_steps:
+                    continue
+                partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
+                if partial and dev_keys is None:
                     dev_keys = key_grid(seed, reps, [k + 1], [SHARED], _DEVICE_PURPOSE)[:, 0, 0]
-                    sampled = sample_devices(cfg.scheme, weights, dev_keys)
-                theta_bar = synchronize(thetas, weights, cfg.scheme, sampled)
-                thetas = np.broadcast_to(theta_bar[:, None, :], (B, N, d)).copy()
-                records[:, (k + 1) // K, :] = theta_bar
+                sampled = sample_devices(cfg.scheme, weights, dev_keys) if partial else None
+                theta_bar = synchronize(thetas[i], weights, cfg.scheme, sampled)
+                thetas[i] = theta_bar[:, None, :]
+                outcomes[p][:, (k + 1) // cfg.local_steps, :] = theta_bar
 
-    return BlockResult(records=records)
+    return outcomes
 
 
-def _block_task(args):
-    cfg, model, rep_slice = args
-    return run_block(cfg, model, rep_slice).records
+def _records_or_raise(outcome) -> np.ndarray:
+    if isinstance(outcome, ChainDivergenceError):
+        raise outcome
+    return outcome
+
+
+def run_block(cfg: RunConfig, model, replications) -> BlockResult:
+    """Run a batch of chains in lockstep; bit-identical to running them one by one."""
+    return BlockResult(records=_records_or_raise(_lockstep([cfg], [model], replications)[0]))
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -333,22 +362,35 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def run_replicated(cfg: RunConfig, model, R: int, workers: int = 1) -> np.ndarray:
-    """R independent chains (replications 0..R-1); returns (R, rounds + 1, d).
+def run_sweep(cfgs, models, R: int, workers: int = 1) -> list:
+    """The points (cfgs[i], models[i]) of a sweep on replications 0..R-1, in one lockstep batch.
 
-    The result is a pure function of (cfg, model, replication id): any worker
-    count produces identical bits, replications are merely distributed across
-    processes.
+    One outcome per point, its (R, rounds + 1, d) records or the
+    ChainDivergenceError that stopped it, as a pure function of (cfg, model,
+    R): any worker count gives the same bits and the same error.
     """
     if R < 2:
-        raise EngineError("run_replicated needs R >= 2")
+        raise EngineError(f"a replicated run needs R >= 2 replications, got {R}")
     workers = resolve_workers(workers)
     if workers <= 1 or R < 2 * workers:
-        return run_block(cfg, model, range(R)).records
+        return _lockstep(cfgs, models, range(R))
+    _check_points(cfgs, models)
     bounds = np.linspace(0, R, workers + 1).astype(int)
     slices = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only when a pool starts
 
     with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-        parts = list(pool.map(_block_task, [(cfg, model, s) for s in slices]))
-    return np.concatenate(parts, axis=0)
+        parts = list(pool.map(_lockstep, [cfgs] * len(slices), [models] * len(slices), slices))
+    outcomes = []
+    for point in zip(*parts):
+        errors = [part for part in point if isinstance(part, ChainDivergenceError)]
+        # the error one block over every replication raises: the earliest iteration, NaN before
+        # runaway, then the largest value; min() keeps the first of equals, i.e. the first slice
+        outcomes.append(np.concatenate(point, axis=0) if not errors else min(
+            errors, key=lambda e: (e.iteration, e.kind != "nan", 0.0 if e.kind == "nan" else -e.value)))
+    return outcomes
+
+
+def run_replicated(cfg: RunConfig, model, R: int, workers: int = 1) -> np.ndarray:
+    """R independent chains (replications 0..R-1); returns (R, rounds + 1, d); `run_sweep` of one point."""
+    return _records_or_raise(run_sweep([cfg], [model], R, workers)[0])

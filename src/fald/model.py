@@ -306,12 +306,13 @@ def client_grad(model, c: int, theta: np.ndarray) -> np.ndarray:
 
 
 def client_grads(model, thetas: np.ndarray, q: float = 1.0, keys=None) -> np.ndarray:
-    """Gradient estimates for every client; thetas (B, N, d) -> (B, N, d).
+    """Gradient estimates for every client; thetas (..., B, N, d) -> (..., B, N, d).
 
     At q = 1 the exact gradients: the Gaussian closed form, or every point in
     index order.  Otherwise client c's minibatch of `subsample_size` points is
-    drawn from stream key keys[:, c] by `subsample_indices` and scaled by
-    1/(q p_c); each size group of clients is evaluated in one oracle call.
+    drawn from stream key keys[:, c] by `subsample_indices` (once for all the
+    leading axes) and scaled by 1/(q p_c); each size group of clients is
+    evaluated in one oracle call.
     """
     if isinstance(model, GaussianModelSpec):
         if q == 1.0:
@@ -324,7 +325,7 @@ def client_grads(model, thetas: np.ndarray, q: float = 1.0, keys=None) -> np.nda
     out = np.empty_like(thetas)
     for n_c, cs in model.data.size_groups:
         idx = None if q == 1.0 else subsample_indices(keys[:, cs], n_c, subsample_size(q, n_c))
-        out[:, cs] = oracle(model, cs, thetas[:, cs], idx, q)
+        out[..., cs, :] = oracle(model, cs, thetas[..., cs, :], idx, q)
     return out
 
 
@@ -379,8 +380,8 @@ def gaussian_client_grad_subset(
 
     One client: ``c`` an int, thetas (B, d), idx (B, size).  G clients with
     equal minibatch size: ``c`` an index array or slice selecting them,
-    thetas (B, G, d), idx (B, G, size).  Minibatch points are summed in idx
-    order.
+    thetas (B, G, d), idx (B, G, size).  Leading axes of thetas before B
+    share idx and its point sums.  Minibatch points are summed in idx order.
     """
     size = idx.shape[-1]
     rows = np.moveaxis(idx, -1, 0) + model.data.client_starts[c]
@@ -550,8 +551,9 @@ def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int
 
     Near the minimizer the Armijo decrease falls below the energy's rounding
     error, so backtracking can accept tiny steps and stall.  Full Newton steps
-    after ``max_iter`` damped ones converge from there and leave every solve
-    that converged while damped unchanged.
+    converge from there: they start once the Newton decrement grad . step is
+    below 8 eps |f|, which the energy cannot resolve, or after ``max_iter``
+    damped steps.
     """
     C, F = model.n_classes, model.n_features
     dim = C * F
@@ -570,9 +572,10 @@ def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int
             return theta
         step = np.linalg.solve(_softmax_hessian(x_all, probs, model.ridge), grad)
         t = 1.0
-        if it < max_iter:  # damped phase: Armijo backtracking on the energy
-            f0 = energy(model, theta)
-            while t > 1e-8 and energy(model, theta - t * step) > f0 - 1e-4 * t * float(grad @ step):
+        if it < max_iter:  # damped phase: Armijo backtracking on the energy, unless it cannot see the step
+            f0, decrement = energy(model, theta), float(grad @ step)
+            damped = decrement >= 8 * np.finfo(np.float64).eps * abs(f0)
+            while damped and t > 1e-8 and energy(model, theta - t * step) > f0 - 1e-4 * t * decrement:
                 t *= 0.5
         theta = theta - t * step
     raise ModelError(f"Newton solve did not reach gradient norm {tol} in {2 * max_iter} iterations")

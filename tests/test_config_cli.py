@@ -610,6 +610,46 @@ def test_console_script_entry_point(tmp_path):
     assert (tmp_path / "dataset.csv").exists()
 
 
+SWEEP_R8 = """
+n_clients = 4
+points_per_client = 6
+sigma = 5, -2, -2, 1
+alpha = 1.0
+k_local = 2
+eta = 0.0005
+rho = 0.3
+horizon = 24
+replications = 8
+seed = 9
+"""
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "subsample_ratio = 0.5\nsweep = s_scheme\nsweep_values = full, scheme1:2, scheme2:3\n",
+        "sweep = alpha\nsweep_values = 0.0, 1.0, 4.0\n",
+        "sweep = k_local\nsweep_values = 1, 3, 4\n",
+        "init = 1, 1\ntarget_eps = 0.5\nsweep = eta\nsweep_values = 0.0005, 60.0, 0.001\n",
+    ],
+    ids=["s_scheme-q0.5", "alpha", "k_local", "eta-diverging"],
+)
+def test_sweep_bytes_and_errors_independent_of_worker_count(lines, tmp_path):
+    # at R = 8 the sweep runs in one process, or in a pool of 2 or 3 slices
+    path = write_config(tmp_path, SWEEP_R8 + lines)
+    seen = {}
+    for threads in ("1", "2", "3"):
+        outdir = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fald.cli", "sweep", str(path), "--outdir", str(outdir)],
+            capture_output=True, text=True, env=dict(os.environ, FALD_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen[threads] = ((outdir / "sweep.csv").read_bytes(), proc.stderr)
+    assert seen["1"] == seen["2"] == seen["3"]
+    assert ("truncated" in seen["1"][0].decode()) == lines.startswith("init")
+
+
 def test_startup_keeps_blas_on_one_thread_and_loads_no_pool():
     # a fresh interpreter: pytest has already imported numpy and fald in this one
     probe = (

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fald.engine import (
     local_step,
     run_block,
     run_replicated,
+    run_sweep,
     sample_devices,
     step_size,
     synchronize,
@@ -432,6 +435,22 @@ def test_noise_block_size_invariance(oracle, q, scheme, monkeypatch):
     assert np.array_equal(records[1], records[7])
     assert np.array_equal(records[1], records[T])
 
+    # a 3-point sweep batch: the budget counts every point's noise array, the
+    # shared normals are drawn once per block for all points, and every point
+    # keeps the bits of its own run at any block size
+    cfgs = [cfg, replace(cfg, rho=0.8, schedule=FixedStep(2e-3)), replace(cfg, local_steps=5)]
+    per_iter = fald.engine._floats_per_iteration(B, N, spec.dim, q, 3)
+    swept = {}
+    for iters, expected in ((1, [1] * T), (7, [7, 7, 7, 7, 2]), (T, [T])):
+        monkeypatch.setattr(fald.engine, "_BLOCK_BUDGET_FLOATS", iters * per_iter)
+        lengths.clear()
+        swept[iters] = run_sweep(cfgs, [spec] * 3, B)
+        assert lengths == expected
+    assert np.array_equal(swept[1][0], records[1])
+    for p in range(3):
+        assert np.array_equal(swept[1][p], run_block(cfgs[p], spec, range(B)).records)
+        assert np.array_equal(swept[1][p], swept[7][p]) and np.array_equal(swept[1][p], swept[T][p])
+
 
 def test_replication_count_validated():
     spec = make_spec()
@@ -460,6 +479,72 @@ def test_divergence_crosses_process_pool():
     assert (conc.value.replication, conc.value.iteration, conc.value.client) == (
         seq.value.replication, seq.value.iteration, seq.value.client)
     assert str(conc.value) == str(seq.value)
+
+
+@pytest.mark.parametrize("eta", [0.05, 2.0])
+def test_divergence_report_independent_of_worker_count(eta):
+    # slices diverge at different iterations and values; the pool reports the
+    # error one block over all replications raises
+    spec = make_spec(n_clients=4)
+    cfg = make_cfg(spec, schedule=FixedStep(eta), master_seed=3, horizon=200)
+    reports = set()
+    for workers in (1, 2, 3):
+        with pytest.raises(ChainDivergenceError) as err:
+            run_replicated(cfg, spec, 8, workers=workers)
+        e = err.value
+        reports.add((str(e), e.replication, e.iteration, e.client, e.value, e.kind))
+    assert len(reports) == 1
+
+
+def _sweep_case(axis):
+    """Three points of a sweep over ``axis``: (run configs, models); the eta sweep's middle value diverges."""
+    spec = make_spec(n_clients=4, points=6, tau=0.7)
+    base = make_cfg(spec, horizon=24, local_steps=2, rho=0.3, subsample_ratio=0.5, scheme=SchemeI(2))
+    if axis == "alpha":  # one federation per value, as `fald sweep` builds them
+        return [base] * 3, [make_spec(n_clients=4, alpha=a, points=6, tau=0.7) for a in (0.0, 1.0, 4.0)]
+    if axis == "k_local":
+        cfgs = [replace(base, local_steps=k) for k in (1, 3, 4)]
+    elif axis == "rho":
+        cfgs = [replace(base, rho=r) for r in (0.0, 0.6, 1.0)]
+    elif axis == "eta":
+        L = spec.data.total_points * float(np.linalg.eigvalsh(np.linalg.inv(REF_SIGMA))[-1])
+        cfgs = [replace(base, schedule=FixedStep(e), init=np.ones(2)) for e in (1e-3, 10.0 / L, 2e-3)]
+    else:
+        cfgs = [replace(base, scheme=s) for s in (FullDevice(), SchemeI(3), SchemeII(2))]
+    return cfgs, [spec] * 3
+
+
+@pytest.mark.parametrize("axis", ["k_local", "alpha", "rho", "eta", "s_scheme"])
+def test_lockstep_sweep_equals_point_by_point_runs(axis):
+    cfgs, models = _sweep_case(axis)
+    diverged = 0
+    for workers in (1, 2):
+        outcomes = run_sweep(cfgs, models, 4, workers=workers)
+        for cfg, spec, outcome in zip(cfgs, models, outcomes):
+            try:
+                expected = run_block(cfg, spec, range(4)).records
+            except ChainDivergenceError as err:
+                diverged += 1
+                assert isinstance(outcome, ChainDivergenceError)
+                assert (str(outcome), outcome.iteration, outcome.replication) == (
+                    str(err), err.iteration, err.replication)
+            else:
+                assert np.array_equal(outcome, expected)
+    assert diverged == (2 if axis == "eta" else 0)
+
+
+def test_sweep_points_must_share_streams():
+    spec = make_spec(n_clients=4, points=6)
+    cfg = make_cfg(spec)
+    for other, other_spec in (
+        (replace(cfg, master_seed=6), spec),
+        (replace(cfg, horizon=40), spec),
+        (replace(cfg, subsample_ratio=0.5), spec),
+        (cfg, make_spec(n_clients=4, points=6, tau=0.5)),
+        (cfg, make_spec(n_clients=4, points=[6, 6, 6, 5])),
+    ):
+        with pytest.raises(EngineError, match="common horizon"):
+            run_sweep([cfg, other], [spec, other_spec], 2)
 
 
 def test_divergence_guard_reports_location():

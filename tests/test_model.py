@@ -190,6 +190,22 @@ def test_client_grads_match_one_client_forms(family):
             assert np.array_equal(mini[b, c], one_minibatch_grad(spec, c, thetas[b, c], 0.5, int(keys[b, c])))
 
 
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_client_grads_stacked_points_match_per_point_calls(family, q):
+    # the points of a sweep stack as a leading axis and share the (B, N) keys
+    sizes = [6, 5, 6, 3]
+    if family == "gaussian":
+        spec = make_spec(n_clients=4, points=sizes, seed=5)
+    else:
+        spec = gen_logistic_federation(4, 0.5, sizes, 2, 3, seed=5, ridge=0.05, n_test=1)[0]
+    thetas = np.random.default_rng(4).standard_normal((3, 2, 4, spec.dim))
+    keys = key_grid(8, range(2), [5], range(4), "subsample")[:, 0]
+    stacked = client_grads(spec, thetas, q, keys)
+    for p in range(3):
+        assert np.array_equal(stacked[p], client_grads(spec, thetas[p], q, keys))
+
+
 def test_subsample_indices_batch_matches_single_keys():
     keys = key_grid(3, [0, 1], range(5), [0], "subsample")[..., 0]
     batch = subsample_indices(keys, 8, 4)
@@ -487,6 +503,20 @@ def test_newton_hessian_matches_kron_loop(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(model_mod, "_softmax_hessian", kron_loop_hessian)
             assert np.array_equal(theta_star, _newton_minimize(spec))
+
+
+def test_newton_leaves_damped_phase_at_rounding_level_decrement(monkeypatch):
+    # the logistic_run federation at seed 0: from about iteration 6 the Newton
+    # decrement is far below eps |f|; full steps converge at once instead of
+    # 200 damped line searches (3,291 energy calls)
+    spec = gen_logistic_federation(10, 1.0, 30, 5, 3, seed=0)[0]
+    calls = []
+    energy = model_mod.energy
+    monkeypatch.setattr(model_mod, "energy", lambda *a: calls.append(1) or energy(*a))
+    theta_star = _newton_minimize(spec)
+    assert len(calls) < 100
+    grad = sum(client_grad(spec, c, theta_star) * w for c, w in enumerate(spec.data.weights))
+    assert np.linalg.norm(grad) < 1e-10
 
 
 def test_ridge_required():
