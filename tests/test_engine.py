@@ -561,6 +561,33 @@ def test_divergence_guard_reports_location():
         assert err.iteration >= 0
 
 
+# (replication, iteration, client, kind, repr(value)) of each report, recorded when the
+# chain state was still (B, N, d): the first non-finite entry, or else the largest |theta|,
+# in (replication, client, coordinate) order
+PINNED_DIVERGENCES = {
+    # eta |grad| overflows at iteration 0 in client 1's second coordinate and in both of
+    # client 3's, for every replication; a coordinate-first scan would name client 3
+    "nan": (0, 0, 1, "nan", "nan"),
+    # the eta sweep of the golden configs, on R = 6: replication 4 holds the largest |theta|
+    "runaway": (4, 6, 2, "divergence", "3976934698305.648"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DIVERGENCES))
+def test_divergence_report_pinned(kind):
+    if kind == "nan":
+        spec = make_spec(points=6, tau=0.7)
+        cfg = make_cfg(spec, rho=0.3, schedule=FixedStep(1.7e306), horizon=40, init=np.ones(2))
+    else:
+        spec = make_spec(points=6, seed=17, tau=0.7)
+        cfg = make_cfg(spec, rho=0.3, schedule=FixedStep(0.5), horizon=40, master_seed=17)
+    for workers in (1, 2):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ChainDivergenceError) as err:
+            run_replicated(cfg, spec, 6, workers=workers)
+        e = err.value
+        assert (e.replication, e.iteration, e.client, e.kind, repr(e.value)) == PINNED_DIVERGENCES[kind]
+
+
 def test_stochastic_gradient_chain_runs():
     spec = make_spec(n_clients=3, points=8)
     cfg = make_cfg(spec, subsample_ratio=0.5, horizon=40, local_steps=4)

@@ -78,7 +78,8 @@ _ANALYSIS = "delta_l = 1.0\neps_star = 50.0\ndelta_star = 0.5\ntarget_eps = 0.5\
 
 RUN_FILES = ("trajectory.csv", "run_metrics.csv", "summary.txt")
 ANALYSIS_FILES = {"plan": "plan.txt", "bounds": "bounds.csv", "privacy": "privacy_report.txt"}
-ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1")
+ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1",
+            "logistic-c9-scheme1:2-q0.5")
 GEN_DATA = ("gaussian-full-q1", "logistic-full-q1")
 SWEEP_FILES = ("sweep.csv", "sweep_t_eps.csv")
 # what `import fald` sets to "1" unless already set: a fald process runs BLAS on one thread
@@ -103,6 +104,17 @@ def _configs() -> dict:
     unequal_logistic = _LOGISTIC.replace("points_per_client = 8", "points_per_client = 5, 6, 6, 8")
     configs["logistic-unequal-scheme1:2-q0.5"] = unequal_logistic + _SCHEMES["scheme1:2"] + "subsample_ratio = 0.5\n"
     configs["logistic-unequal-full-q1"] = unequal_logistic + _SCHEMES["full"] + "subsample_ratio = 1\n"
+    # an odd dimension (Box-Muller drops the last sine, the matrix is 3 x 3) and
+    # nine classes (the class sum of the softmax adds pairwise, as do the d = 18
+    # coordinates of the sigma_sg Monte Carlo)
+    configs["gaussian-d3-scheme2:2-q0.5"] = (
+        _GAUSSIAN.replace("dimension = 2\nsigma = 5, -2, -2, 1", "dimension = 3\nsigma = 5, -2, 1, -2, 3, 0.5, 1, 0.5, 2")
+        + "eta = 0.0005\n" + _SCHEMES["scheme2:2"] + "subsample_ratio = 0.5\n"
+    )
+    configs["logistic-c9-scheme1:2-q0.5"] = (
+        _LOGISTIC.replace("n_classes = 3", "n_classes = 9")
+        + _SCHEMES["scheme1:2"] + "subsample_ratio = 0.5\n" + _ANALYSIS
+    )
     # sweeps: the t_eps table, and a diverging eta whose truncated row mixes types
     configs["sweep-gaussian-s_scheme"] = (
         _GAUSSIAN + "eta = 0.0005\nsubsample_ratio = 0.5\ntarget_eps = 0.9\n"
