@@ -170,27 +170,34 @@ class BlockResult:
 def injected_noise(shared, private, eta, tau, rho, weights) -> np.ndarray:
     """sqrt(2 eta tau rho^2) shared + sqrt(2 eta tau (1-rho^2)/p_c) private.
 
-    ``shared`` (..., 1, d) holds the normals common to all clients and
-    ``private`` (..., N, d) one row per client; ``weights`` are the N client
-    weights p_c.  ``eta`` and ``rho`` are scalars or arrays broadcasting against
-    the (..., N, d) result, such as one step size per iteration shaped (T, 1, 1).
-    Both terms are formed even at rho in {0, 1}, so the engine always draws
-    both sets of normals and its stream layout does not depend on rho.
+    Coordinate-major, clients last: ``shared`` (d, ..., 1) holds the normals
+    common to all clients and ``private`` (d, ..., N) one column per client;
+    ``weights`` are the N client weights p_c.  ``eta`` and ``rho`` are scalars
+    or arrays broadcasting against the (d, ..., N) result, such as one step
+    size per iteration shaped (T, 1, 1).  Both terms are formed even at rho in
+    {0, 1}, so the engine always draws both sets of normals and its stream
+    layout does not depend on rho.
     """
     eta, rho = np.asarray(eta, dtype=np.float64), np.asarray(rho, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(eta <= 0) or tau < 0 or np.any((rho < 0) | (rho > 1)) or np.any(weights <= 0) or np.any(weights > 1):
         raise EngineError("invalid noise parameters")
     shared_scale = np.sqrt(2.0 * eta * tau * rho * rho)
-    private_scale = np.sqrt(2.0 * eta * tau * (1.0 - rho * rho) / weights[:, None])
+    private_scale = np.sqrt(2.0 * eta * tau * (1.0 - rho * rho) / weights)
     noise = private_scale * private
     noise += shared_scale * shared
     return noise
 
 
-def local_step(theta, grad_estimate, noise, eta) -> np.ndarray:
-    """theta - eta * gradient estimate + injected noise."""
-    return theta - eta * grad_estimate + noise
+def local_step(theta, grad_estimate, noise, eta, out=None) -> np.ndarray:
+    """theta - eta * gradient estimate + injected noise, written to ``out`` when given.
+
+    ``out`` may be ``grad_estimate``'s buffer, not ``theta``'s.
+    """
+    out = np.multiply(eta, grad_estimate, out=out)
+    np.subtract(theta, out, out=out)
+    out += noise
+    return out
 
 
 def sample_devices(scheme: Scheme, weights: np.ndarray, keys) -> np.ndarray:
@@ -215,19 +222,21 @@ def sample_devices(scheme: Scheme, weights: np.ndarray, keys) -> np.ndarray:
 def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=None) -> np.ndarray:
     """Aggregate client states: sum_c p_c beta^c (full) or (1/S) sum over sampled.
 
-    ``betas`` is (..., N, d) and ``sampled`` the (..., S) output of
-    `sample_devices`.  Clients are accumulated in index order, so the result
-    does not depend on how the leading axes are batched.
+    ``betas`` is coordinate-major (d, ..., N), the result (d, ...), and
+    ``sampled`` the (..., S) output of `sample_devices`.  Clients are
+    accumulated in index order, each product added to the sum, so the result
+    does not depend on how the other axes are batched.
     """
     if isinstance(scheme, FullDevice):
-        w = np.broadcast_to(weights, betas.shape[:-1])
+        w = np.broadcast_to(weights, betas.shape[1:])
     else:
         sampled = np.asarray(sampled)
-        w = np.zeros(betas.shape[:-1])
+        w = np.zeros(betas.shape[1:])
         np.add.at(w, (*np.indices(sampled.shape)[:-1], sampled), 1.0 / scheme.s)
-    out = w[..., 0, None] * betas[..., 0, :]
-    for c in range(1, betas.shape[-2]):
-        out = out + w[..., c, None] * betas[..., c, :]
+    out = w[..., 0] * betas[..., 0]
+    term = np.empty_like(out)
+    for c in range(1, betas.shape[-1]):
+        out += np.multiply(w[..., c], betas[..., c], out=term)
     return out
 
 
@@ -236,14 +245,19 @@ def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=
 
 
 def _check_state(thetas, reps, iteration) -> Optional[ChainDivergenceError]:
-    """The divergence in one point's (B, N, d) state, or None: the first NaN, else the largest |theta|."""
+    """The divergence in one point's (d, B, N) state, or None.
+
+    That is the first NaN, else the largest |theta|, in (replication, client,
+    coordinate) order.
+    """
+    size = np.abs(np.moveaxis(thetas, 0, -1))  # (B, N, d), so argwhere scans in that order
     # max() propagates NaN, so one reduction covers both guards
-    worst = float(np.abs(thetas).max())
+    worst = float(size.max())
     if not np.isfinite(worst):
-        b, c = np.argwhere(~np.isfinite(thetas))[0][:2]
+        b, c = np.argwhere(~np.isfinite(size))[0][:2]
         return ChainDivergenceError(int(reps[b]), iteration, int(c), np.nan, kind="nan")
     if worst > DIVERGENCE_LIMIT:
-        b, c = np.argwhere(np.abs(thetas) == worst)[0][:2]
+        b, c = np.argwhere(size == worst)[0][:2]
         return ChainDivergenceError(int(reps[b]), iteration, int(c), worst)
 
 
@@ -264,16 +278,22 @@ def _check_points(cfgs, models) -> None:
 
 
 def _initial_thetas(cfg: RunConfig, N: int, d: int, B: int) -> np.ndarray:
+    """Every client's start, coordinate-major (d, B, N)."""
     if cfg.init is None:
-        return np.zeros((B, N, d))
+        return np.zeros((d, B, N))
     init = np.asarray(cfg.init, dtype=np.float64)
     if init.shape != (d,):
         raise EngineError(f"init must have shape ({d},)")
-    return np.broadcast_to(init, (B, N, d)).copy()
+    return np.broadcast_to(init[:, None, None], (d, B, N))
 
 
 def _floats_per_iteration(B: int, N: int, d: int, q: float, P: int = 1) -> int:
-    """Floats per iteration of a noise block: normals, their keys, P points' noise and subsample keys."""
+    """Floats per iteration of a noise block: normals, their keys, P points' noise and subsample keys.
+
+    The normals count as the 2 ceil(d/2) uniforms they are drawn from.  The
+    keys are drawn replication-major and read through an iteration-major view,
+    so they are held once.
+    """
     return B * ((N + 1) * (2 * ((d + 1) // 2) + 1) + P * N * d + (N if q < 1.0 else 0))
 
 
@@ -284,7 +304,9 @@ def _lockstep(cfgs, models, replications) -> list:
     ChainDivergenceError that `run_block` on that point alone raises; a
     diverged point leaves the stack and the others go on.  Each block's noise
     normals and subsample keys and each sync's device keys are drawn once for
-    all points, whose states are stacked as (P, B, N, d); every operation is
+    all points.  The states are stacked coordinate-major as (d, P, B, N), so
+    every kernel runs over whole (P, B, N) planes, and each step's noise is
+    d such planes of the (d, block, P, B, N) noise block; every operation is
     elementwise across points, so each point keeps the bits of its own run.
     """
     _check_points(cfgs, models)
@@ -294,10 +316,11 @@ def _lockstep(cfgs, models, replications) -> list:
     T, q, seed = cfgs[0].horizon, cfgs[0].subsample_ratio, cfgs[0].master_seed
     etas = np.stack([step_size(cfg.schedule, np.arange(T)) for cfg in cfgs])  # (P, T)
     rhos = np.array([cfg.rho for cfg in cfgs])
-    thetas = np.stack([_initial_thetas(cfg, N, d, B) for cfg in cfgs])
+    thetas = np.stack([_initial_thetas(cfg, N, d, B) for cfg in cfgs], axis=1)
+    grads = np.empty_like(thetas)  # the step writes here, then the two buffers swap
     outcomes = [np.empty((B, T // cfg.local_steps + 1, d)) for cfg in cfgs]
     for p in range(P):
-        outcomes[p][:, 0, :] = synchronize(thetas[p], weights, FullDevice())
+        outcomes[p][:, 0, :] = synchronize(thetas[:, p], weights, FullDevice()).T
     live = list(range(P))  # the point of each row of the stack
     one_model = all(m is model for m in models)  # else (an alpha sweep) one gradient call per point
 
@@ -306,26 +329,34 @@ def _lockstep(cfgs, models, replications) -> list:
     for k0 in range(0, T, block):
         k1 = min(T, k0 + block)
         iters = np.arange(k0, k1)
-        shared = normals_for_keys(key_grid(seed, reps, iters, [SHARED], _NOISE_PURPOSE), d)
-        # (P, B, block, N, d); the private normals are dropped once scaled
-        noise = injected_noise(shared, normals_for_keys(key_grid(seed, reps, iters, range(N), _NOISE_PURPOSE), d),
-                               etas[:, None, k0:k1, None, None], model.tau, rhos[:, None, None, None, None], weights)
+        # the key grids viewed iteration-major, so that each step's noise, noise[:, kb], is d whole (P, B, N) planes
+        shared = normals_for_keys(key_grid(seed, reps, iters, [SHARED], _NOISE_PURPOSE).transpose(1, 0, 2), d)
+        private = normals_for_keys(key_grid(seed, reps, iters, range(N), _NOISE_PURPOSE).transpose(1, 0, 2), d)
+        # (d, block, P, B, N); the private normals are dropped once scaled
+        noise = injected_noise(shared[:, :, None], private[:, :, None], etas[:, k0:k1].T[:, :, None, None], model.tau,
+                               rhos[:, None, None], weights)
+        del private
         sub_keys = key_grid(seed, reps, iters, range(N), _SUBSAMPLE_PURPOSE) if q < 1.0 else None
 
         for kb, k in enumerate(range(k0, k1)):
             keys = sub_keys[:, kb] if q < 1.0 else None
-            grads = (model_mod.client_grads(model, thetas, q, keys) if one_model else
-                     np.stack([model_mod.client_grads(models[p], t, q, keys) for p, t in zip(live, thetas)]))
-            thetas = local_step(thetas, grads, noise[:, :, kb], etas[:, k, None, None, None])
-            if not np.abs(thetas).max() <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
-                errors = [_check_state(t, reps, k) for t in thetas]
+            if one_model:
+                model_mod.client_grads(model, thetas, q, keys, out=grads)
+            else:
+                for i, p in enumerate(live):
+                    model_mod.client_grads(models[p], thetas[:, i], q, keys, out=grads[:, i])
+            thetas, grads = local_step(thetas, grads, noise[:, kb], etas[:, k, None, None], out=grads), thetas
+            # grads is free until the next gradient; NaN fails the comparison too
+            if not np.abs(thetas, out=grads).max() <= DIVERGENCE_LIMIT:
+                errors = [_check_state(thetas[:, i], reps, k) for i in range(len(live))]
                 for p, err in zip(live, errors):
                     outcomes[p] = err or outcomes[p]
                 keep = [i for i, err in enumerate(errors) if err is None]
                 if not keep:
                     return outcomes
                 live = [live[i] for i in keep]
-                thetas, noise, etas, rhos = thetas[keep], noise[keep], etas[keep], rhos[keep]
+                thetas, noise, etas, rhos = thetas[:, keep], noise[:, :, keep], etas[keep], rhos[keep]
+                grads = np.empty_like(thetas)
             dev_keys = None
             for i, p in enumerate(live):
                 cfg = cfgs[p]
@@ -335,9 +366,9 @@ def _lockstep(cfgs, models, replications) -> list:
                 if partial and dev_keys is None:
                     dev_keys = key_grid(seed, reps, [k + 1], [SHARED], _DEVICE_PURPOSE)[:, 0, 0]
                 sampled = sample_devices(cfg.scheme, weights, dev_keys) if partial else None
-                theta_bar = synchronize(thetas[i], weights, cfg.scheme, sampled)
-                thetas[i] = theta_bar[:, None, :]
-                outcomes[p][:, (k + 1) // cfg.local_steps, :] = theta_bar
+                theta_bar = synchronize(thetas[:, i], weights, cfg.scheme, sampled)
+                thetas[:, i] = theta_bar[:, :, None]
+                outcomes[p][:, (k + 1) // cfg.local_steps, :] = theta_bar.T
 
     return outcomes
 

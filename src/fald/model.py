@@ -23,19 +23,47 @@ class ModelError(ValueError):
     """Invalid model specification or unsupported model/operation pairing."""
 
 
-def apply_matrix(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Row-vector times matrix with a fixed-order accumulation over columns.
+def apply_matrix(vectors: np.ndarray, matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-vector times matrix for coordinate-major vectors: (d, ...) -> (d, ...).
 
-    Equivalent to ``vectors @ matrix`` but summed coordinate by coordinate in
-    index order, so the result is bitwise independent of how the leading axes
-    are batched.  The engine relies on this to make batched replications
-    bit-identical to one-at-a-time execution.
+    out[k] = vectors[0] * matrix[0, k] + ... + vectors[d-1] * matrix[d-1, k],
+    each product added in index order, so the result is bitwise independent of
+    how the other axes are batched.  The engine relies on this to make batched
+    replications bit-identical to one-at-a-time execution.  Writes to ``out``
+    when given, which must not overlap ``vectors``.
     """
     d = matrix.shape[0]
-    out = vectors[..., 0, None] * matrix[0]
-    for j in range(1, d):
-        out = out + vectors[..., j, None] * matrix[j]
+    out = np.empty(np.shape(vectors)) if out is None else out
+    term = np.empty(out.shape[1:])
+    for k in range(d):
+        np.multiply(vectors[0], matrix[0, k], out=out[k])
+        for j in range(1, d):
+            out[k] += np.multiply(vectors[j], matrix[j, k], out=term)
     return out
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=0) added in the order numpy's ``sum`` takes along a contiguous axis.
+
+    numpy adds fewer than 8 terms one by one; up to 128 terms in 8 interleaved
+    partial sums joined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) before the
+    remainder is added one by one; longer runs split at a multiple of 8 near
+    the middle.  Each addition here is a whole (terms.shape[1:]) array.
+    """
+    n = terms.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n < 8:
+        total, done = terms[0].copy(), 1
+    else:
+        part, done = terms[:8].copy(), n - n % 8
+        for i in range(8, done, 8):
+            part += terms[i : i + 8]
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for i in range(done, n):
+        total += terms[i]
+    return total
 
 
 @dataclass(frozen=True)
@@ -68,8 +96,12 @@ class FederatedDataset:
         return FederatedDataset(arrays, weights, lab)
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", np.array([c.shape[0] for c in self.clients], dtype=np.int64))
+        object.__setattr__(self, "total_points", int(self.counts.sum()))
         # every point and label in client order; client c's rows start at client_starts[c]
         object.__setattr__(self, "all_points", np.concatenate(self.clients))
+        # the same points coordinate-major, (d, total points), for the coordinate-major oracles
+        object.__setattr__(self, "points_by_coordinate", np.ascontiguousarray(self.all_points.T))
         object.__setattr__(self, "all_labels", None if self.labels is None else np.concatenate(self.labels))
         object.__setattr__(self, "client_starts", np.cumsum(self.counts) - self.counts)
         # (n_c, clients) per distinct client size; a slice selects them all when sizes agree
@@ -86,14 +118,6 @@ class FederatedDataset:
     @property
     def dim(self) -> int:
         return self.clients[0].shape[1]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([c.shape[0] for c in self.clients], dtype=np.int64)
-
-    @property
-    def total_points(self) -> int:
-        return int(self.counts.sum())
 
     def validate(self) -> None:
         if np.any(self.weights <= 0):
@@ -274,10 +298,16 @@ def _sample_labels(x: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> np
     return (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp(logits) normalized along the class axis ``axis``.
+
+    The class sum adds in the order of numpy's ``sum(axis=-1)`` over
+    contiguous rows, whichever axis holds the classes, so the bits do not
+    depend on the layout.
+    """
+    e = np.exp(logits - logits.max(axis=axis, keepdims=True))
+    e /= np.expand_dims(_pairwise_sum(np.moveaxis(e, axis, 0)), axis)
+    return e
 
 
 def predict_proba(model: LogisticModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -302,31 +332,40 @@ def _check_theta(model, theta) -> np.ndarray:
 def client_grad(model, c: int, theta: np.ndarray) -> np.ndarray:
     """Exact per-client gradient (1/p_c) sum_i grad l(theta; x_{c,i})."""
     theta = _check_theta(model, theta)
-    return client_grads(model, np.broadcast_to(theta, (1, model.data.n_clients, model.dim)))[0, c]
+    return client_grads(model, np.broadcast_to(theta[:, None, None], (model.dim, 1, model.data.n_clients)))[:, 0, c]
 
 
-def client_grads(model, thetas: np.ndarray, q: float = 1.0, keys=None) -> np.ndarray:
-    """Gradient estimates for every client; thetas (..., B, N, d) -> (..., B, N, d).
+def client_grads(model, thetas: np.ndarray, q: float = 1.0, keys=None, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gradient estimates for every client; coordinate-major thetas (d, ..., B, N) -> (d, ..., B, N).
 
     At q = 1 the exact gradients: the Gaussian closed form, or every point in
     index order.  Otherwise client c's minibatch of `subsample_size` points is
     drawn from stream key keys[:, c] by `subsample_indices` (once for all the
-    leading axes) and scaled by 1/(q p_c); each size group of clients is
-    evaluated in one oracle call.
+    axes between d and B) and scaled by 1/(q p_c); each size group of clients
+    is evaluated in one oracle call.  Writes to ``out`` when given, which must
+    not overlap ``thetas``.
     """
+    out = np.empty(np.shape(thetas)) if out is None else out
     if isinstance(model, GaussianModelSpec):
         if q == 1.0:
-            return gaussian_client_grads(model, thetas)
+            # grad f^c(theta) = n Sigma^-1 (theta - mean_c) because n_c / p_c equals the
+            # total point count for every client
+            means = model.client_means.T.reshape((model.dim,) + (1,) * (np.ndim(thetas) - 2) + (-1,))
+            return apply_matrix(thetas - means, model.data.total_points * model.sigma_inv, out)
         oracle = gaussian_client_grad_subset
     elif isinstance(model, LogisticModelSpec):
         oracle = logistic_client_grad
     else:
         raise ModelError(f"unsupported model type {type(model).__name__}")
-    out = np.empty_like(thetas)
     for n_c, cs in model.data.size_groups:
         idx = None if q == 1.0 else subsample_indices(keys[:, cs], n_c, subsample_size(q, n_c))
-        out[..., cs, :] = oracle(model, cs, thetas[..., cs, :], idx, q)
+        out[..., cs] = oracle(model, cs, thetas[..., cs], idx, q)
     return out
+
+
+def gaussian_client_grads(model: GaussianModelSpec, thetas: np.ndarray) -> np.ndarray:
+    """Exact gradients for all clients with d last, (..., N, d) -> (..., N, d); see `client_grads`."""
+    return np.moveaxis(client_grads(model, np.moveaxis(thetas, -1, 0)), 0, -1)
 
 
 def subsample_size(q: float, n_c: int) -> int:
@@ -362,15 +401,20 @@ def _rank_smallest(bits: np.ndarray, size: int) -> np.ndarray:
     return (bits[..., :size] & np.uint64((1 << s) - 1)).astype(np.int64)
 
 
-def gaussian_client_grads(model: GaussianModelSpec, thetas: np.ndarray) -> np.ndarray:
-    """Exact gradients for all clients; thetas (..., N, d) -> (..., N, d).
+def _minibatch(data: FederatedDataset, c, idx: Optional[np.ndarray], ndim: int):
+    """Minibatch points (F, size, ...) and labels (size, ...) of client(s) c, by coordinate.
 
-    grad f^c(theta) = n Sigma^-1 (theta - mean_c) because n_c / p_c equals the
-    total point count for every client.
+    Both broadcast against coordinate-major thetas of ``ndim`` axes,
+    (F, ..., *idx.shape[:-1]): unit axes follow the size axis.  idx None takes
+    every point of the clients in index order, shared by all samples.
     """
-    n = model.data.total_points
-    diff = thetas - model.client_means
-    return apply_matrix(diff, n * model.sigma_inv)
+    if idx is None:
+        rows = np.arange(np.ravel(data.counts[c])[0])[:, None] + np.atleast_1d(data.client_starts[c])
+    else:
+        rows = np.moveaxis(idx, -1, 0) + data.client_starts[c]
+    rows = rows.reshape(rows.shape[:1] + (1,) * (ndim - rows.ndim) + rows.shape[1:])
+    labels = None if data.all_labels is None else np.take(data.all_labels, rows)
+    return np.take(data.points_by_coordinate, rows, axis=1), labels
 
 
 def gaussian_client_grad_subset(
@@ -378,19 +422,22 @@ def gaussian_client_grad_subset(
 ) -> np.ndarray:
     """Minibatch gradients (1/(q p_c)) Sigma^-1 sum_{i in S} (theta - x_{c,i}).
 
-    One client: ``c`` an int, thetas (B, d), idx (B, size).  G clients with
-    equal minibatch size: ``c`` an index array or slice selecting them,
-    thetas (B, G, d), idx (B, G, size).  Leading axes of thetas before B
-    share idx and its point sums.  Minibatch points are summed in idx order.
+    G clients with equal minibatch size: ``c`` an index array or slice
+    selecting them, coordinate-major thetas (d, ..., B, G), idx (B, G, size);
+    the axes between d and B share idx and its point sums.  One client: ``c``
+    an int, thetas (..., B, d) with d last, idx (B, size); it runs the same
+    code on the coordinate-major view.  Minibatch points are summed in idx order.
     """
-    size = idx.shape[-1]
-    rows = np.moveaxis(idx, -1, 0) + model.data.client_starts[c]
-    picked = np.take(model.data.all_points, rows, axis=0)  # (size, B, [G,] d)
-    ssum = picked[0].copy()
+    one = isinstance(c, (int, np.integer))
+    thetas = np.moveaxis(thetas, -1, 0) if one else thetas
+    x, _ = _minibatch(model.data, c, idx, thetas.ndim)
+    size = x.shape[1]
+    ssum = x[:, 0].copy()
     for t in range(1, size):
-        ssum += picked[t]
+        ssum += x[:, t]
     scale = 1.0 / (q * model.data.weights[c])
-    return apply_matrix(np.asarray(scale)[..., None] * (size * thetas - ssum), model.sigma_inv)
+    grads = apply_matrix(scale * (size * thetas - ssum), model.sigma_inv)
+    return np.moveaxis(grads, 0, -1) if one else grads
 
 
 def logistic_client_grad(
@@ -398,32 +445,29 @@ def logistic_client_grad(
 ) -> np.ndarray:
     """Minibatch gradients (1/(q p_c)) sum_{i in S} grad l(theta; x_{c,i}, y_{c,i}).
 
-    Call forms as `gaussian_client_grad_subset` with d = C*F; idx None takes
-    every point of client c (at q = 1 the exact gradient).  Logits add the
-    feature products in index order and the outer products are added in idx
-    order, so results do not depend on how thetas or clients are batched.
+    Call forms as `gaussian_client_grad_subset` with d = C*F, the (C, F)
+    weight matrix row-major; idx None takes every point of client c (at q = 1
+    the exact gradient).  Logits add the feature products in index order, the
+    softmax adds the classes in numpy's order and the outer products are added
+    in idx order, so results do not depend on how thetas or clients are batched.
     """
-    data = model.data
+    one = isinstance(c, (int, np.integer))
+    thetas = np.moveaxis(thetas, -1, 0) if one else thetas
     C, F = model.n_classes, model.n_features
-    if idx is None:
-        idx = np.arange(np.ravel(data.counts[c])[0])
-    idx = np.broadcast_to(idx, thetas.shape[:-1] + idx.shape[-1:])
-    size = idx.shape[-1]
-    rows = np.moveaxis(idx, -1, 0) + data.client_starts[c]
-    x = np.take(data.all_points, rows, axis=0)  # (size, B, [G,] F)
-    y = np.take(data.all_labels, rows)  # (size, B, [G])
-    w = thetas.reshape(thetas.shape[:-1] + (C, F))
-    logits = np.zeros(x.shape[:-1] + (C,))
+    x, y = _minibatch(model.data, c, idx, thetas.ndim)  # (F, size, ...), (size, ...)
+    size = x.shape[1]
+    w = thetas.reshape((C, F) + thetas.shape[1:])
+    logits = np.zeros((C,) + np.broadcast_shapes(x.shape[1:], (1,) + thetas.shape[1:]))
     for f in range(F):
-        logits += w[..., f] * x[..., f, None]
-    resid = softmax(logits)
-    resid -= y[..., None] == np.arange(C)  # subtract the one-hot labels
+        logits += w[:, f, None] * x[f]
+    resid = softmax(logits, axis=0)
+    resid -= y == np.arange(C).reshape((C,) + (1,) * y.ndim)  # subtract the one-hot labels
     grads = np.zeros_like(w)
     for t in range(size):
-        grads += resid[t, ..., None] * x[t, ..., None, :]
+        grads += resid[:, t, None] * x[:, t]
     grads += (model.ridge * size) * w
-    scale = 1.0 / (q * data.weights[c])
-    return np.asarray(scale)[..., None] * grads.reshape(thetas.shape)
+    grads = 1.0 / (q * model.data.weights[c]) * grads.reshape(thetas.shape)
+    return np.moveaxis(grads, 0, -1) if one else grads
 
 
 def energy(model, theta: np.ndarray) -> float:
@@ -432,7 +476,7 @@ def energy(model, theta: np.ndarray) -> float:
     if isinstance(model, GaussianModelSpec):
         total = 0.0
         for pts in model.data.clients:
-            diff = theta - pts
+            diff = theta[:, None] - pts.T
             total += 0.5 * float(np.sum(apply_matrix(diff, model.sigma_inv) * diff))
         return total
     if isinstance(model, LogisticModelSpec):
@@ -490,9 +534,9 @@ def constants(
     else:
         theta_star = _newton_minimize(model)
 
-    d = model.dim
-    exact = client_grads(model, np.broadcast_to(theta_star, (1, model.data.n_clients, d)))[0]
-    gamma_het = max(float(np.linalg.norm(g)) for g in exact)
+    d, N = model.dim, model.data.n_clients
+    exact = client_grads(model, np.broadcast_to(theta_star[:, None, None], (d, 1, N)))[:, 0]
+    gamma_het = max(float(np.linalg.norm(g)) for g in np.ascontiguousarray(exact.T))
     sigma_sg = _estimate_sigma_sg(model, theta_star, subsample_ratio, probe_points, mc_draws, seed)
     return EnergyConstants(
         L=L,
@@ -509,7 +553,8 @@ def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> fl
 
     Draw j at probe p and client c uses stream key
     seed + 7919 (p 104729 + c 1299709 + j); each draw's squared error is
-    summed over coordinates, then accumulated over draws in draw order.
+    summed over coordinates one after another, then accumulated over draws
+    in draw order.
     """
     if q >= 1.0:
         return 0.0
@@ -520,13 +565,16 @@ def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> fl
     worst = 0.0
     for p in range(probe_points):
         theta = theta_star + rng.standard_normal(d) / np.sqrt(d)
-        thetas = np.broadcast_to(theta, (mc_draws, N, d))
+        thetas = np.broadcast_to(theta[:, None, None], (d, mc_draws, N))
         # the end keys (client 0, draw 0 and client N-1, draw mc_draws-1) are exact Python
         # ints; converting them raises if either leaves uint64, so no key in between can wrap
         base = p * 104729
         first, _ = np.array([seed + 7919 * base, seed + 7919 * (base + span)], dtype=np.uint64)
         g = client_grads(model, thetas, q, first + np.uint64(7919) * steps)
-        sq = np.cumsum(np.sum((g - client_grads(model, thetas[:1])) ** 2, axis=2), axis=0)[-1]
+        err = (g - client_grads(model, thetas[:, :1])) ** 2
+        for j in range(1, d):
+            err[0] += err[j]
+        sq = np.cumsum(err[0], axis=0)[-1]
         worst = max(worst, float(sq.max()) / mc_draws / d)  # division is monotone: the max of the quotients
     return float(np.sqrt(1.5 * worst))
 

@@ -35,9 +35,16 @@ def _mix64_int(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer on a uint64 array, in place; returns z."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _U64_MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _U64_MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _fnv1a64(text: str) -> int:
@@ -77,7 +84,8 @@ def key_grid(master_seed, replications, iterations, client_tags, purpose_tag) ->
     h2 = _mix64_array(h1[:, None] ^ ks[None, :])
     tags = np.array([_tag_to_u64(t) for t in client_tags], dtype=np.uint64)
     h3 = _mix64_array(h2[:, :, None] ^ tags[None, None, :])
-    return _mix64_array(h3 ^ np.uint64(_tag_to_u64(purpose_tag)))
+    h3 ^= np.uint64(_tag_to_u64(purpose_tag))
+    return _mix64_array(h3)
 
 
 def uniform_bits_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -86,33 +94,43 @@ def uniform_bits_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
     Integers and uniforms share order and ties, so ranking either gives the
     same permutation; output is uint64 of shape keys.shape + (n,).
     """
-    pos = (np.arange(1, n + 1, dtype=np.uint64) * _U64_GOLDEN).reshape(
-        (1,) * np.ndim(keys) + (n,)
-    )
-    bits = _mix64_array(np.asarray(keys, dtype=np.uint64)[..., None] + pos)
+    return _bits(np.asarray(keys, dtype=np.uint64)[..., None], np.arange(1, n + 1, dtype=np.uint64))
+
+
+def _bits(keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The top 53 bits of splitmix64(key + position * golden), broadcast in C order."""
+    bits = _mix64_array(np.add(keys, positions * _U64_GOLDEN, order="C"))
     bits >>= np.uint64(11)
     return bits
 
 
 def uniforms_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """n uniforms in [0, 1) for each key; output shape keys.shape + (n,)."""
-    u = uniform_bits_for_keys(keys, n).astype(np.float64)
-    u *= _INV_2_53
-    return u
+    return np.multiply(uniform_bits_for_keys(keys, n), _INV_2_53, dtype=np.float64)
 
 
 def normals_for_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """n standard normals per key via Box-Muller; shape keys.shape + (n,)."""
-    pairs = (n + 1) // 2
-    out = uniforms_for_keys(keys, 2 * pairs)
-    # 1 - u lies in (0, 1], so the log is finite.
-    r = np.log1p(-out[..., 0::2])
-    r *= -2.0
-    np.sqrt(r, out=r)
-    angle = (2.0 * np.pi) * out[..., 1::2]
-    # the uniforms are spent, so the normals overwrite them; the transcendental
-    # kernels keep reading and writing whole contiguous arrays
-    np.multiply(r, np.cos(angle), out=out[..., 0::2])
-    np.multiply(r, np.sin(angle), out=out[..., 1::2])
-    return out[..., :n]
+    """n standard normals per key via Box-Muller, position-major: shape (n,) + keys.shape.
 
+    Normals 2i and 2i + 1 are r cos(2 pi u) and r sin(2 pi u) with
+    r = sqrt(-2 log(1 - u')), where u' and u are the key's uniforms at
+    positions 2i + 1 and 2i + 2; an odd n drops the last sine.  ``keys`` may
+    be any view, such as a transposed key grid; the draws are laid out in C
+    order of its shape.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    pairs = (n + 1) // 2
+    # the uniforms of positions 1, 3, 5, ... (radii) ahead of those of 2, 4, 6, ... (angles)
+    pos = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T
+    radius, angle = np.multiply(_bits(keys, pos.reshape(pos.shape + (1,) * keys.ndim)), _INV_2_53, dtype=np.float64)
+    # 1 - u lies in (0, 1], so the log is finite
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    # every kernel reads and writes whole contiguous (keys.shape) planes
+    out = np.empty((n,) + keys.shape)
+    np.multiply(radius, np.cos(angle), out=out[0::2])
+    np.multiply(radius[: n // 2], np.sin(angle[: n // 2]), out=out[1::2])
+    return out

@@ -293,11 +293,11 @@ def test_criterion_07_noise_normalization():
     variances = {}
     for rho in (0.0, 0.5, 1.0):
         agg = np.zeros(draws)
-        shared = normals_for_keys(key_grid(9, [0], range(draws), [SHARED], "noise"), 1)[0, :, 0, 0]
+        shared = normals_for_keys(key_grid(9, [0], range(draws), [SHARED], "noise"), 1)[0, 0, :, 0]
         for c in range(5):
             a = np.sqrt(2 * eta * tau * rho * rho)
             b = np.sqrt(2 * eta * tau * (1 - rho * rho) / p[c])
-            priv = normals_for_keys(key_grid(9, [0], range(draws), [c], "noise"), 1)[0, :, 0, 0]
+            priv = normals_for_keys(key_grid(9, [0], range(draws), [c], "noise"), 1)[0, 0, :, 0]
             agg += p[c] * (a * shared + b * priv)
         variances[rho] = float((agg / np.sqrt(2 * eta * tau)).var())
     ok = all(0.98 <= v <= 1.02 for v in variances.values())

@@ -51,9 +51,9 @@ def make_cfg(spec, **kwargs):
 
 
 def noise_normals(seed, rep, iters, clients, dim):
-    """(shared, private) normals of the engine's noise streams, (len(iters), 1 or N, dim)."""
-    shared = normals_for_keys(key_grid(seed, [rep], iters, [SHARED], "noise"), dim)[0]
-    private = normals_for_keys(key_grid(seed, [rep], iters, clients, "noise"), dim)[0]
+    """(shared, private) normals of the engine's noise streams, coordinate-major (dim, len(iters), 1 or N)."""
+    shared = normals_for_keys(key_grid(seed, [rep], iters, [SHARED], "noise"), dim)[:, 0]
+    private = normals_for_keys(key_grid(seed, [rep], iters, clients, "noise"), dim)[:, 0]
     return shared, private
 
 
@@ -101,12 +101,12 @@ def test_decaying_strictly_decreasing():
 def test_zero_temperature_noise_is_zero():
     shared, private = noise_normals(0, 0, [0], [0], 4)
     noise = injected_noise(shared, private, eta=1e-2, tau=0.0, rho=0.5, weights=[0.25])
-    assert np.array_equal(noise, np.zeros((1, 1, 4)))
+    assert np.array_equal(noise, np.zeros((4, 1, 1)))
 
 
 def _noise_draws(rho, p_c, eta=1e-2, tau=1.0, draws=100_000, dim=1):
     shared, private = noise_normals(1, 0, range(draws), [0], dim)
-    return injected_noise(shared, private, eta, tau, rho, [p_c])[:, 0]
+    return injected_noise(shared, private, eta, tau, rho, [p_c])[..., 0]
 
 
 def test_invalid_noise_parameters_rejected():
@@ -137,7 +137,7 @@ def test_aggregate_noise_is_standard_gaussian(rho):
     eta, tau, draws = 1e-2, 1.0, 100_000
     shared, private = noise_normals(1, 0, range(draws), range(5), 1)
     noise = injected_noise(shared, private, eta, tau, rho, p)
-    agg = synchronize(noise, p, FullDevice())[:, 0] / np.sqrt(2 * eta * tau)
+    agg = synchronize(noise, p, FullDevice())[0] / np.sqrt(2 * eta * tau)
     assert 0.98 <= agg.var() <= 1.02
     assert abs(agg.mean()) < 0.02
 
@@ -185,13 +185,13 @@ def test_scheme2_oversampling_rejected():
 
 
 def test_synchronize_weighted_average():
-    betas = np.array([[1.0], [3.0]])
+    betas = np.array([[1.0, 3.0]])  # (d, N)
     assert synchronize(betas, np.array([0.5, 0.5]), FullDevice())[0] == pytest.approx(2.0)
 
 
 def test_scheme2_all_devices_equals_full_average():
     spec = make_spec(n_clients=4, points=3)
-    betas = np.random.default_rng(2).standard_normal((4, 2))
+    betas = np.random.default_rng(2).standard_normal((2, 4))
     full = synchronize(betas, spec.data.weights, FullDevice())
     part = synchronize(betas, spec.data.weights, SchemeII(4), sampled=np.arange(4))
     assert np.array_equal(full, part)
@@ -203,11 +203,11 @@ def test_scheme1_resampling_unbiased():
     rng = np.random.default_rng(0)
     w = rng.random(n)
     w /= w.sum()
-    betas = rng.standard_normal((n, 1))
+    betas = rng.standard_normal(n)
     rounds = 100_000
     got = sample_devices(SchemeI(s), w, device_keys(5, rounds))
-    samples = synchronize(np.broadcast_to(betas, (rounds, n, 1)), w, SchemeI(s), sampled=got)[:, 0]
-    expected = float(w @ betas[:, 0])
+    samples = synchronize(np.broadcast_to(betas, (1, rounds, n)), w, SchemeI(s), sampled=got)[0]
+    expected = float(w @ betas)
     band = 4 * samples.std(ddof=1) / np.sqrt(rounds)
     assert abs(samples.mean() - expected) <= band
 
@@ -227,7 +227,7 @@ def test_single_client_chain_matches_handrolled_sgld():
         # keys from the scalar reference, one step and one client at a time
         shared = normals_for_keys(stream_key(9, 2, k, SHARED, "noise"), 2)
         private = normals_for_keys(stream_key(9, 2, k, 0, "noise"), 2)
-        noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.4, [1.0])[0]
+        noise = injected_noise(shared[:, None], private[:, None], 1e-3, 0.7, 0.4, [1.0])[:, 0]
         theta = local_step(theta, grad, noise, 1e-3)
         hand.append(theta.copy())
     assert np.array_equal(np.array(hand), traj)
@@ -256,9 +256,9 @@ def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
         for c in range(len(p)):
             grad = one_minibatch_grad(spec, c, theta, 0.5, stream_key(6, 1, k, c, "subsample"))
             private = normals_for_keys(stream_key(6, 1, k, c, "noise"), spec.dim)
-            noise = injected_noise(shared[None], private[None], 1e-3, 0.7, 0.3, p[c:c + 1])[0]
+            noise = injected_noise(shared[:, None], private[:, None], 1e-3, 0.7, 0.3, p[c:c + 1])[:, 0]
             betas[c] = local_step(theta, grad, noise, 1e-3)
-        theta = synchronize(betas, p, FullDevice())
+        theta = synchronize(betas.T, p, FullDevice())
         hand.append(theta.copy())
     assert np.array_equal(np.array(hand), traj)
 
@@ -270,16 +270,16 @@ def test_k1_reduction_matches_direct_iterate():
     traj = one_chain(cfg, spec, 1)
     p = spec.data.weights
     thetas = np.zeros((4, 2))
-    hand = [synchronize(thetas, p, FullDevice())]
+    hand = [synchronize(thetas.T, p, FullDevice())]
     for k in range(50):
         betas = np.empty_like(thetas)
         shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
         for c in range(4):
             grad = client_grad(spec, c, thetas[c])
             private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
-            noise = injected_noise(shared[None], private[None], 5e-4, 1.0, 0.25, p[c:c + 1])[0]
+            noise = injected_noise(shared[:, None], private[:, None], 5e-4, 1.0, 0.25, p[c:c + 1])[:, 0]
             betas[c] = local_step(thetas[c], grad, noise, 5e-4)
-        bar = synchronize(betas, p, FullDevice())
+        bar = synchronize(betas.T, p, FullDevice())
         thetas = np.broadcast_to(bar, (4, 2)).copy()
         hand.append(bar)
     assert np.array_equal(np.array(hand), traj)
@@ -293,19 +293,19 @@ def test_local_steps_chain_matches_handrolled(scheme):
     cfg = make_cfg(spec, local_steps=3, rho=0.3, horizon=12, master_seed=4, scheme=scheme)
     p = spec.data.weights
     thetas = np.zeros((4, 2))
-    hand = [synchronize(thetas, p, FullDevice())]
+    hand = [synchronize(thetas.T, p, FullDevice())]
     for k in range(12):
         shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
         for c in range(4):
             grad = client_grad(spec, c, thetas[c])
             private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
-            noise = injected_noise(shared[None], private[None], 1e-3, 1.0, 0.3, p[c:c + 1])[0]
+            noise = injected_noise(shared[:, None], private[:, None], 1e-3, 1.0, 0.3, p[c:c + 1])[:, 0]
             thetas[c] = local_step(thetas[c], grad, noise, 1e-3)
         if (k + 1) % 3 == 0:
             sampled = None
             if not isinstance(scheme, FullDevice):
                 sampled = sample_devices(scheme, p, stream_key(4, 1, k + 1, SHARED, "devices"))
-            bar = synchronize(thetas, p, scheme, sampled)
+            bar = synchronize(thetas.T, p, scheme, sampled)
             thetas = np.broadcast_to(bar, (4, 2)).copy()
             hand.append(bar)
     assert np.array_equal(np.array(hand), one_chain(cfg, spec, 1))

@@ -166,44 +166,51 @@ def test_full_batch_equals_exact():
     spec = make_spec(points=6)
     theta = np.array([0.3, -0.2])
     keys = key_grid(0, [0], [0], range(3), "subsample")[0]
-    grads = client_grads(spec, np.broadcast_to(theta, (1, 3, 2)), 1.0, keys)
+    grads = client_grads(spec, np.broadcast_to(theta[:, None, None], (2, 1, 3)), 1.0, keys)
     for c in range(3):
-        assert np.array_equal(grads[0, c], client_grad(spec, c, theta))
+        assert np.array_equal(grads[:, 0, c], client_grad(spec, c, theta))
+
+
+SIGMA_3 = np.array([[5.0, -2.0, 1.0], [-2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
 
 
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
 def test_client_grads_match_one_client_forms(family):
+    # coordinate-major (d, B, N) against one client and one theta at a time, at d = 2 and 3
+    # (the logistic parameter holds 3 classes of 2 or 3 features)
     sizes = [6, 5, 6, 3]
-    if family == "gaussian":
-        spec = make_spec(n_clients=4, points=sizes, seed=5)
-    else:
-        spec = gen_logistic_federation(4, 0.5, sizes, 2, 3, seed=5, ridge=0.05, n_test=1)[0]
-    assert [(n_c, cs.tolist()) for n_c, cs in spec.data.size_groups] == [(3, [3]), (5, [1]), (6, [0, 2])]
-    thetas = np.random.default_rng(3).standard_normal((3, 4, spec.dim))
-    keys = key_grid(8, range(3), [2], range(4), "subsample")[:, 0]
-    exact = client_grads(spec, thetas)
-    mini = client_grads(spec, thetas, 0.5, keys)
-    assert not np.array_equal(mini, exact)
-    for b in range(3):
-        for c in range(4):
-            assert np.array_equal(exact[b, c], client_grad(spec, c, thetas[b, c]))
-            assert np.array_equal(mini[b, c], one_minibatch_grad(spec, c, thetas[b, c], 0.5, int(keys[b, c])))
+    for d in (2, 3):
+        if family == "gaussian":
+            spec = make_spec(n_clients=4, points=sizes, seed=5, sigma=REF_SIGMA if d == 2 else SIGMA_3)
+        else:
+            spec = gen_logistic_federation(4, 0.5, sizes, d, 3, seed=5, ridge=0.05, n_test=1)[0]
+        assert [(n_c, cs.tolist()) for n_c, cs in spec.data.size_groups] == [(3, [3]), (5, [1]), (6, [0, 2])]
+        thetas = np.random.default_rng(3).standard_normal((spec.dim, 3, 4))
+        keys = key_grid(8, range(3), [2], range(4), "subsample")[:, 0]
+        exact = client_grads(spec, thetas)
+        mini = client_grads(spec, thetas, 0.5, keys)
+        assert exact.shape == mini.shape == thetas.shape and not np.array_equal(mini, exact)
+        for b in range(3):
+            for c in range(4):
+                theta = thetas[:, b, c]
+                assert np.array_equal(exact[:, b, c], client_grad(spec, c, theta))
+                assert np.array_equal(mini[:, b, c], one_minibatch_grad(spec, c, theta, 0.5, int(keys[b, c])))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
 @pytest.mark.parametrize("q", [1.0, 0.5])
 def test_client_grads_stacked_points_match_per_point_calls(family, q):
-    # the points of a sweep stack as a leading axis and share the (B, N) keys
+    # the points of a sweep stack as an axis after the coordinates and share the (B, N) keys
     sizes = [6, 5, 6, 3]
     if family == "gaussian":
         spec = make_spec(n_clients=4, points=sizes, seed=5)
     else:
         spec = gen_logistic_federation(4, 0.5, sizes, 2, 3, seed=5, ridge=0.05, n_test=1)[0]
-    thetas = np.random.default_rng(4).standard_normal((3, 2, 4, spec.dim))
+    thetas = np.random.default_rng(4).standard_normal((spec.dim, 3, 2, 4))
     keys = key_grid(8, range(2), [5], range(4), "subsample")[:, 0]
     stacked = client_grads(spec, thetas, q, keys)
     for p in range(3):
-        assert np.array_equal(stacked[p], client_grads(spec, thetas[p], q, keys))
+        assert np.array_equal(stacked[:, p], client_grads(spec, thetas[:, p], q, keys))
 
 
 def test_subsample_indices_batch_matches_single_keys():
@@ -244,13 +251,13 @@ def test_equal_uniforms_rank_by_index(n):
 
 
 def loop_subset_grad(model, c, thetas, idx, q):
-    """Reference: one client, points gathered and added one minibatch slot at a time."""
+    """Reference: one client, points gathered and added one minibatch slot at a time; thetas (B, d)."""
     pts = model.data.clients[c]
     ssum = pts[idx[:, 0]]
     for t in range(1, idx.shape[1]):
         ssum = ssum + pts[idx[:, t]]
     scale = 1.0 / (q * model.data.weights[c])
-    return apply_matrix(scale * (idx.shape[1] * thetas - ssum), model.sigma_inv)
+    return apply_matrix((scale * (idx.shape[1] * thetas - ssum)).T, model.sigma_inv).T
 
 
 def loop_softmax_grad(model, c, thetas, idx, q):
@@ -287,11 +294,12 @@ def test_subset_grad_client_array_matches_single_clients(oracle, C, F):
     rng = np.random.default_rng(1)
     clients = np.array([3, 0, 2])
     thetas = rng.standard_normal((5, 3, spec.dim))
+    by_coordinate = np.moveaxis(thetas, -1, 0)  # the client-array form takes (d, B, G)
     idx = np.stack([rng.permutation(6)[:4] for _ in range(15)]).reshape(5, 3, 4)
-    batched = grad(spec, clients, thetas, idx, 0.7)
+    batched = grad(spec, clients, by_coordinate, idx, 0.7)
     for j, c in enumerate(clients):
-        single = grad(spec, int(c), thetas[:, j], idx[:, j], 0.7)
-        assert np.array_equal(batched[:, j], single)
+        single = grad(spec, int(c), thetas[:, j], idx[:, j], 0.7)  # the one-client form keeps d last
+        assert np.array_equal(batched[..., j].T, single)
         assert np.array_equal(single, reference(spec, c, thetas[:, j], idx[:, j], 0.7))
         pts = spec.data.clients[c]
         for b in range(5):
@@ -307,11 +315,11 @@ def test_subset_grad_client_array_matches_single_clients(oracle, C, F):
     if oracle == "logistic":
         # idx None takes every point of the client in index order
         every = np.broadcast_to(np.arange(6), (5, 3, 6))
-        full = grad(spec, clients, thetas)
-        assert np.array_equal(full, grad(spec, clients, thetas, every))
+        full = grad(spec, clients, by_coordinate)
+        assert np.array_equal(full, grad(spec, clients, by_coordinate, every))
         for j, c in enumerate(clients):
             single = grad(spec, int(c), thetas[:, j])
-            assert np.array_equal(full[:, j], single)
+            assert np.array_equal(full[..., j].T, single)
             assert np.array_equal(single, grad(spec, int(c), thetas[:, j], every[:, j]))
             assert np.array_equal(single, reference(spec, c, thetas[:, j], every[:, j], 1.0))
 
@@ -322,7 +330,7 @@ def test_stochastic_gradient_unbiased():
     exact = client_grad(spec, 0, theta)
     draws = 100_000
     keys = key_grid(123, [0], range(draws), range(2), "subsample")[0]
-    samples = client_grads(spec, np.broadcast_to(theta, (draws, 2, 2)), 0.5, keys)[:, 0]
+    samples = client_grads(spec, np.broadcast_to(theta[:, None, None], (2, draws, 2)), 0.5, keys)[:, :, 0].T
     err = samples.mean(axis=0) - exact
     band = 4.0 * samples.std(axis=0, ddof=1) / np.sqrt(draws)
     assert np.all(np.abs(err) <= band)
@@ -335,7 +343,7 @@ def test_stochastic_second_moment_within_reported_scale():
     draws = 20_000
     exact = client_grad(spec, 0, theta)
     keys = key_grid(7, [0], range(draws), range(2), "subsample")[0]
-    g = client_grads(spec, np.broadcast_to(theta, (draws, 2, 2)), 0.5, keys)[:, 0]
+    g = client_grads(spec, np.broadcast_to(theta[:, None, None], (2, draws, 2)), 0.5, keys)[:, :, 0].T
     sq = float(np.sum((g - exact) ** 2))
     assert sq / draws <= consts.sigma_sg ** 2 * spec.dim
 
@@ -571,3 +579,14 @@ def test_predict_proba_rows_sum_to_one():
     probs = predict_proba(spec, np.zeros(spec.dim), test_x)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.allclose(probs, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("C", [2, 3, 7, 8, 9, 16, 23, 129, 300])
+def test_softmax_adds_classes_in_numpy_order(C):
+    # the class sum reproduces numpy's sum over contiguous rows (one by one below 8
+    # terms, pairwise above) with the classes on either axis
+    logits = np.random.default_rng(C).standard_normal((40, C)) * 3.0
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    expected = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(softmax(logits), expected)
+    assert np.array_equal(softmax(np.ascontiguousarray(logits.T), axis=0), expected.T)

@@ -92,17 +92,24 @@ def _scalar_normals(key, n):
 
 def test_vectorized_draws_bitwise_match_stream():
     # independent scalar oracle on Python ints and the math module; numpy's
-    # SIMD log1p/sin/cos may differ from libm by an ulp or two
+    # SIMD log1p/sin/cos may differ from libm by an ulp or two.  Normals are
+    # position-major, (n,) + keys.shape, and an odd n drops the last sine.
     grid = key_grid(7, [0, 1], range(4), [0, 1, 2], "noise")
-    normals = normals_for_keys(grid, 3)
     uniforms = uniforms_for_keys(grid, 5)
-    for i, rep in enumerate((0, 1)):
-        for k in range(4):
-            for c in range(3):
-                key = stream_key(7, rep, k, c, "noise")
-                assert uniforms[i, k, c].tolist() == _scalar_uniforms(key, 5)
-                expected = np.array(_scalar_normals(key, 3))
-                assert np.all(np.abs(normals[i, k, c] - expected) <= 4 * np.spacing(np.abs(expected)))
+    for n in (1, 2, 3, 5):
+        normals = normals_for_keys(grid, n)
+        assert normals.shape == (n,) + grid.shape and normals.flags.c_contiguous
+        # an iteration-major view of the grid draws the same normals, laid out in its order
+        swapped = normals_for_keys(grid.transpose(1, 0, 2), n)
+        assert swapped.flags.c_contiguous and np.array_equal(swapped, normals.transpose(0, 2, 1, 3))
+        for i, rep in enumerate((0, 1)):
+            for k in range(4):
+                for c in range(3):
+                    key = stream_key(7, rep, k, c, "noise")
+                    assert uniforms[i, k, c].tolist() == _scalar_uniforms(key, 5)
+                    expected = np.array(_scalar_normals(key, n))
+                    got = normals[:, i, k, c]
+                    assert np.all(np.abs(got - expected) <= 4 * np.spacing(np.abs(expected)))
 
 
 def test_bad_tag_type_rejected():
