@@ -112,8 +112,7 @@ _KEYS = {
     "subsample_ratio": (_parse_float, "(0, 1]"),
     "horizon": (_parse_int, "[1, inf)"),
     "replications": (_parse_int, "[2, inf)"),
-    # the sigma_sg stream keys add up to about 1e10 per client to the seed
-    "seed": (_parse_int, "[0, 2**63)"),
+    "seed": (_parse_int, "[0, 2**64)"),
     "init": (_parse_floats, None),
     "sweep": (lambda raw, line: _parse_choice(raw, line, SWEEP_AXES, "sweep"), None),
     "sweep_values": (lambda raw, line: raw, None),  # typed once the axis is known
@@ -242,7 +241,7 @@ def _bound(text: str) -> float:
 
 
 def _range_error(key: str, value, interval: str) -> Optional[str]:
-    """Why ``value`` lies outside ``interval`` (such as "[0, 2**63)"), or None when it lies inside.
+    """Why ``value`` lies outside ``interval`` (such as "[0, 2**64)"), or None when it lies inside.
 
     Floats bounded on both ends name the interval; otherwise the message names
     the violated end, and a float bounded below by 0 must be positive or nonnegative.

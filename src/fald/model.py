@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .streams import uniform_bits_for_keys
+from .streams import SHARED, key_grid, normals_for_keys, uniform_bits_for_keys
 
 
 class ModelError(ValueError):
@@ -528,6 +528,10 @@ def constants(
     """
     if theta0_radius < 0:
         raise ModelError("theta0_radius must be nonnegative")
+    if not 0 < subsample_ratio <= 1:
+        raise ModelError("subsample ratio must lie in (0, 1]")
+    if subsample_ratio < 1 and min(probe_points, mc_draws) < 1:
+        raise ModelError("probe_points and mc_draws must be >= 1 when subsample_ratio < 1")
     L, m = smoothness(model)
     if isinstance(model, GaussianModelSpec):
         theta_star = model.data.all_points.mean(axis=0)
@@ -551,26 +555,20 @@ def constants(
 def _estimate_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed) -> float:
     """Worst probe/client mean squared minibatch error, one batched oracle call per probe.
 
-    Draw j at probe p and client c uses stream key
-    seed + 7919 (p 104729 + c 1299709 + j); each draw's squared error is
-    summed over coordinates one after another, then accumulated over draws
-    in draw order.
+    Probe p is theta_star plus stream (seed, p, 0, SHARED, "sigma_sg_probe")'s d normals over
+    sqrt(d); its draw j at client c subsamples with stream (seed, p, j, c, "sigma_sg").  Each
+    draw's squared error is summed over coordinates one after another, then over draws in draw order.
     """
     if q >= 1.0:
         return 0.0
     d, N = model.dim, model.data.n_clients
-    rng = np.random.default_rng(seed)
-    steps = np.arange(mc_draws, dtype=np.uint64)[:, None] + np.uint64(1299709) * np.arange(N, dtype=np.uint64)
-    span = 1299709 * (N - 1) + mc_draws - 1  # steps[-1, -1] as a Python int
+    probe_keys = key_grid(seed, range(probe_points), [0], [SHARED], "sigma_sg_probe")[:, 0, 0]
+    centers = theta_star[:, None] + normals_for_keys(probe_keys, d) / np.sqrt(d)
     worst = 0.0
     for p in range(probe_points):
-        theta = theta_star + rng.standard_normal(d) / np.sqrt(d)
-        thetas = np.broadcast_to(theta[:, None, None], (d, mc_draws, N))
-        # the end keys (client 0, draw 0 and client N-1, draw mc_draws-1) are exact Python
-        # ints; converting them raises if either leaves uint64, so no key in between can wrap
-        base = p * 104729
-        first, _ = np.array([seed + 7919 * base, seed + 7919 * (base + span)], dtype=np.uint64)
-        g = client_grads(model, thetas, q, first + np.uint64(7919) * steps)
+        thetas = np.broadcast_to(centers[:, p, None, None], (d, mc_draws, N))
+        keys = key_grid(seed, [p], range(mc_draws), range(N), "sigma_sg")[0]
+        g = client_grads(model, thetas, q, keys)
         err = (g - client_grads(model, thetas[:, :1])) ** 2
         for j in range(1, d):
             err[0] += err[j]

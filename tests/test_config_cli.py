@@ -199,7 +199,7 @@ LOGISTIC_MINIMAL = "model = logistic\nn_clients = 2\npoints_per_client = 6\nseed
         (LOGISTIC_MINIMAL + "n_test = 0\n", "line 5: n_test must be >= 1"),
         (MINIMAL + "tau = inf\n", "line 6: expected a finite number"),
         (MINIMAL + "tau = nan\n", "line 6: expected a finite number"),
-        (MINIMAL.replace("seed = 7", f"seed = {2**63}"), "line 5: seed must be < 2**63"),
+        (MINIMAL.replace("seed = 7", f"seed = {2**64}"), "line 5: seed must be < 2**64"),
         (MINIMAL + "target_eps = 0\n", "line 6: target_eps must be positive"),
         (MINIMAL + "target_eps = -1\n", "line 6: target_eps must be positive"),
         (MINIMAL + "delta_l = 0\n", "line 6: delta_l must be positive"),
@@ -211,7 +211,7 @@ LOGISTIC_MINIMAL = "model = logistic\nn_clients = 2\npoints_per_client = 6\nseed
         (MINIMAL + "delta_star = -1e-3\n", "line 6: delta_star must be positive"),
     ],
     ids=[
-        "seed-1", "n_classes1", "n_features0", "n_test0", "tau-inf", "tau-nan", "seed2^63",
+        "seed-1", "n_classes1", "n_features0", "n_test0", "tau-inf", "tau-nan", "seed2^64",
         "target_eps0", "target_eps-1", "delta_l0", "delta0-0", "delta0-1", "delta1-1", "delta2-neg",
         "eps_star0", "delta_star-neg",
     ],
@@ -224,8 +224,8 @@ def test_unhonourable_values_exit_2_with_line(text, message, command, tmp_path, 
 
 
 def test_largest_seed_plans_a_minibatch_run(tmp_path):
-    # sigma_sg stream keys grow from the seed; below 2**63 they fit in 64 bits
-    text = MINIMAL.replace("seed = 7", f"seed = {2**63 - 1}") + "subsample_ratio = 0.5\ntarget_eps = 0.5\n"
+    # every stream key, the sigma_sg Monte Carlo's too, mixes the seed modulo 2**64
+    text = MINIMAL.replace("seed = 7", f"seed = {2**64 - 1}") + "subsample_ratio = 0.5\ntarget_eps = 0.5\n"
     path = write_config(tmp_path, text)
     assert run_cli(["plan", path, "--outdir", tmp_path]) == 0
     assert "k_star = " in (tmp_path / "plan.txt").read_text()

@@ -27,7 +27,7 @@ from fald.model import (
     subsample_size,
     target_posterior,
 )
-from fald.streams import key_grid, stream_key, uniforms_for_keys
+from fald.streams import SHARED, key_grid, normals_for_keys, stream_key, uniforms_for_keys
 from tests_support_minibatch import one_minibatch_grad
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
@@ -349,18 +349,17 @@ def test_stochastic_second_moment_within_reported_scale():
 
 
 def scalar_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed):
-    """Independent reference for the sigma_sg estimator: one scalar oracle call per draw."""
+    """Independent reference for the sigma_sg estimator: one scalar key and oracle call per draw."""
     d = model.dim
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for p in range(probe_points):
-        theta = theta_star + rng.standard_normal(d) / np.sqrt(d)
+        probe_key = np.uint64(stream_key(seed, p, 0, SHARED, "sigma_sg_probe"))
+        theta = theta_star + normals_for_keys(probe_key, d) / np.sqrt(d)
         for c in range(model.data.n_clients):
             exact = client_grad(model, c, theta)
             sq = 0.0
             for draw in range(mc_draws):
-                key = seed + 7919 * (p * 104729 + c * 1299709 + draw)
-                g = one_minibatch_grad(model, c, theta, q, key)
+                g = one_minibatch_grad(model, c, theta, q, stream_key(seed, p, draw, c, "sigma_sg"))
                 sq += float(np.sum((g - exact) ** 2))
             worst = max(worst, sq / mc_draws / d)
     return float(np.sqrt(1.5 * worst))
@@ -378,18 +377,37 @@ def test_sigma_sg_matches_scalar_reference(family, q):
     assert consts.sigma_sg == scalar_sigma_sg(spec, consts.theta_star, q, 3, 25, 13)
 
 
-def test_sigma_sg_key_overflow_raises():
-    # the first key is 2**64 - 1; the second does not fit in 64 bits
-    with pytest.raises(OverflowError):
-        constants(make_spec(), 0.0, subsample_ratio=0.5, probe_points=1, mc_draws=2, seed=2**64 - 1)
+def test_sigma_sg_keys_of_nearby_seeds_are_disjoint(monkeypatch):
+    # nearby seeds share no minibatch stream; seeds 7919 apart were the worst case of arithmetic keys
+    spec = make_spec()
+    seen = []
+
+    def recording(model, thetas, q=1.0, keys=None, out=None):
+        if keys is not None:
+            seen[-1].update(keys.ravel().tolist())
+        return client_grads(model, thetas, q, keys, out)
+
+    monkeypatch.setattr(model_mod, "client_grads", recording)
+    for seed in (5, 5 + 7919):
+        seen.append(set())
+        constants(spec, 0.0, subsample_ratio=0.5, probe_points=4, mc_draws=200, seed=seed)
+    assert len(seen[0]) == len(seen[1]) == 4 * 200 * spec.data.n_clients
+    assert seen[0].isdisjoint(seen[1])
 
 
-def test_sigma_sg_key_range_spans_every_client():
-    # client 0's keys fit in 64 bits; the last key of client 2 (of 3) is exactly 2**64
-    seed = 2**64 - 7919 * (2 * 1299709 + 1)
-    assert seed + 7919 < 2**64
-    with pytest.raises(OverflowError):
-        constants(make_spec(), 0.0, subsample_ratio=0.5, probe_points=1, mc_draws=2, seed=seed)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(subsample_ratio=1.5),
+        dict(subsample_ratio=0.0),
+        dict(subsample_ratio=0.5, probe_points=0),
+        dict(subsample_ratio=0.5, mc_draws=0),
+    ],
+    ids=["q1.5", "q0", "probe_points0", "mc_draws0"],
+)
+def test_constants_rejects_monte_carlo_inputs(kwargs):
+    with pytest.raises(ModelError):
+        constants(make_spec(), 0.0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
