@@ -8,10 +8,12 @@ error carries the offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
+
+from .model import ModelError, _check_spd
 
 SWEEP_AXES = ("k_local", "alpha", "rho", "eta", "s_scheme")
 SCHEMES = ("full", "scheme1", "scheme2")
@@ -21,47 +23,6 @@ SCHEDULES = ("fixed", "decaying")
 
 class ConfigError(ValueError):
     """Malformed configuration; message carries a line number when one applies."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description (engine fields plus orchestration)."""
-
-    model: str = "gaussian"
-    n_clients: int = 0
-    points_per_client: Tuple[int, ...] = ()
-    dimension: int = 2
-    sigma: Optional[np.ndarray] = None  # None: identity
-    alpha: float = 1.0
-    tau: float = 1.0
-    k_local: int = 1
-    eta: Optional[float] = None
-    schedule: str = "fixed"
-    rho: float = 0.0
-    scheme: str = "full"
-    s_devices: Optional[int] = None
-    subsample_ratio: float = 1.0
-    horizon: Optional[int] = None
-    replications: Optional[int] = None
-    seed: int = 0
-    init: Optional[Tuple[float, ...]] = None
-    sweep: Optional[str] = None
-    sweep_values: Tuple = ()
-    target_eps: Optional[float] = None
-    outdir: str = "."
-    collect_every: int = 10
-    warmup_rounds: int = 0
-    ece_bins: int = 10
-    ridge: float = 0.01
-    n_features: int = 2
-    n_classes: int = 3
-    n_test: int = 500
-    delta_l: Optional[float] = None
-    delta0: float = 1e-5
-    delta1: float = 1e-6
-    delta2: float = 1e-6
-    eps_star: Optional[float] = None
-    delta_star: Optional[float] = None
 
 
 def _parse_int(raw, line):
@@ -89,49 +50,62 @@ def _parse_ints(raw, line):
     return tuple(_parse_int(part.strip(), line) for part in raw.split(","))
 
 
-def _parse_choice(raw, line, choices, key):
-    if raw not in choices:
-        raise ConfigError(f"line {line}: {key} must be one of {', '.join(choices)}; got {raw!r}")
-    return raw
+def _choice(key, choices):
+    def parse(raw, line):
+        if raw not in choices:
+            raise ConfigError(f"line {line}: {key} must be one of {', '.join(choices)}; got {raw!r}")
+        return raw
+
+    return parse
 
 
-_KEYS = {
-    "model": (lambda raw, line: _parse_choice(raw, line, MODELS, "model"), None),
-    "n_clients": (_parse_int, "[1, inf)"),
-    "points_per_client": (_parse_ints, "[1, inf)"),
-    "dimension": (_parse_int, "[1, inf)"),
-    "sigma": (_parse_floats, None),
-    "alpha": (_parse_float, "[0, inf)"),
-    "tau": (_parse_float, "[0, inf)"),
-    "k_local": (_parse_int, "[1, inf)"),
-    "eta": (_parse_float, "(0, inf)"),
-    "schedule": (lambda raw, line: _parse_choice(raw, line, SCHEDULES, "schedule"), None),
-    "rho": (_parse_float, "[0, 1]"),
-    "scheme": (lambda raw, line: _parse_choice(raw, line, SCHEMES, "scheme"), None),
-    "s_devices": (_parse_int, "[1, inf)"),
-    "subsample_ratio": (_parse_float, "(0, 1]"),
-    "horizon": (_parse_int, "[1, inf)"),
-    "replications": (_parse_int, "[2, inf)"),
-    "seed": (_parse_int, "[0, 2**64)"),
-    "init": (_parse_floats, None),
-    "sweep": (lambda raw, line: _parse_choice(raw, line, SWEEP_AXES, "sweep"), None),
-    "sweep_values": (lambda raw, line: raw, None),  # typed once the axis is known
-    "target_eps": (_parse_float, "(0, inf)"),
-    "outdir": (lambda raw, line: raw, None),
-    "collect_every": (_parse_int, "[1, inf)"),
-    "warmup_rounds": (_parse_int, "[0, inf)"),
-    "ece_bins": (_parse_int, "[1, inf)"),
-    "ridge": (_parse_float, "(0, inf)"),
-    "n_features": (_parse_int, "[1, inf)"),
-    "n_classes": (_parse_int, "[2, inf)"),
-    "n_test": (_parse_int, "[1, inf)"),
-    "delta_l": (_parse_float, "(0, inf)"),
-    "delta0": (_parse_float, "(0, 1)"),
-    "delta1": (_parse_float, "[0, 1)"),
-    "delta2": (_parse_float, "[0, 1)"),
-    "eps_star": (_parse_float, "(0, inf)"),
-    "delta_star": (_parse_float, "(0, inf)"),
-}
+def _key(default, parse, interval=None):
+    """A config key: its default, its parser of (raw, line) and the range of its values, or None."""
+    return field(default=default, metadata={"parse": parse, "range": interval})
+
+
+@dataclass
+class ExperimentConfig:
+    """Parsed experiment description (engine fields plus orchestration); each field is one key."""
+
+    model: str = _key("gaussian", _choice("model", MODELS))
+    n_clients: int = _key(0, _parse_int, "[1, inf)")
+    points_per_client: Tuple[int, ...] = _key((), _parse_ints, "[1, inf)")
+    dimension: int = _key(2, _parse_int, "[1, inf)")
+    sigma: Optional[np.ndarray] = _key(None, _parse_floats)  # None: identity
+    alpha: float = _key(1.0, _parse_float, "[0, inf)")
+    tau: float = _key(1.0, _parse_float, "[0, inf)")
+    k_local: int = _key(1, _parse_int, "[1, inf)")
+    eta: Optional[float] = _key(None, _parse_float, "(0, inf)")
+    schedule: str = _key("fixed", _choice("schedule", SCHEDULES))
+    rho: float = _key(0.0, _parse_float, "[0, 1]")
+    scheme: str = _key("full", _choice("scheme", SCHEMES))
+    s_devices: Optional[int] = _key(None, _parse_int, "[1, inf)")
+    subsample_ratio: float = _key(1.0, _parse_float, "(0, 1]")
+    horizon: Optional[int] = _key(None, _parse_int, "[1, inf)")
+    replications: Optional[int] = _key(None, _parse_int, "[2, inf)")
+    seed: int = _key(0, _parse_int, "[0, 2**64)")
+    init: Optional[Tuple[float, ...]] = _key(None, _parse_floats)
+    sweep: Optional[str] = _key(None, _choice("sweep", SWEEP_AXES))
+    sweep_values: Tuple = _key((), lambda raw, line: raw)  # typed once the axis is known
+    target_eps: Optional[float] = _key(None, _parse_float, "(0, inf)")
+    outdir: str = _key(".", lambda raw, line: raw)
+    collect_every: int = _key(10, _parse_int, "[1, inf)")
+    warmup_rounds: int = _key(0, _parse_int, "[0, inf)")
+    ece_bins: int = _key(10, _parse_int, "[1, inf)")
+    ridge: float = _key(0.01, _parse_float, "(0, inf)")
+    n_features: int = _key(2, _parse_int, "[1, inf)")
+    n_classes: int = _key(3, _parse_int, "[2, inf)")
+    n_test: int = _key(500, _parse_int, "[1, inf)")
+    delta_l: Optional[float] = _key(None, _parse_float, "(0, inf)")
+    delta0: float = _key(1e-5, _parse_float, "(0, 1)")
+    delta1: float = _key(1e-6, _parse_float, "[0, 1)")
+    delta2: float = _key(1e-6, _parse_float, "[0, 1)")
+    eps_star: Optional[float] = _key(None, _parse_float, "(0, inf)")
+    delta_star: Optional[float] = _key(None, _parse_float, "(0, inf)")
+
+
+_KEYS = {f.name: (f.metadata["parse"], f.metadata["range"]) for f in fields(ExperimentConfig)}
 """key -> (parser of the raw text, range of every value as interval text, or None).
 
 A range holds whenever the key has a value, whatever the model; it applies to
@@ -146,7 +120,7 @@ def _parse_scheme_value(raw, line):
     if raw == "full":
         return ("full", None)
     name, _, count = raw.partition(":")
-    if name not in ("scheme1", "scheme2") or not count:
+    if name == "full" or name not in SCHEMES or not count:
         raise ConfigError(
             f"line {line}: s_scheme sweep values must be 'full' or 'scheme1:<S>'/'scheme2:<S>'; got {raw!r}"
         )
@@ -271,6 +245,9 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
             message = _range_error(key, item, interval)
             if message is not None:
                 _fail(lines, key, message)
+    if (cfg.eps_star is None) != (cfg.delta_star is None):
+        given, missing = ("eps_star", "delta_star") if cfg.delta_star is None else ("delta_star", "eps_star")
+        _fail(lines, given, f"{given} needs {missing}: the budget search takes both")
     counts = cfg.points_per_client
     if len(counts) == 1:
         counts = counts * cfg.n_clients
@@ -282,8 +259,11 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
         d = cfg.dimension
         if flat.size != d * d:
             _fail(lines, "sigma", f"sigma needs {d * d} entries (row-major {d}x{d}), got {flat.size}")
-        cfg.sigma = flat.reshape(d, d)
-    if cfg.scheme in ("scheme1", "scheme2"):
+        try:
+            cfg.sigma = _check_spd(flat.reshape(d, d))
+        except ModelError as err:
+            _fail(lines, "sigma", str(err))
+    if cfg.scheme != "full":
         if cfg.s_devices is None:
             _fail(lines, "scheme", f"{cfg.scheme} requires s_devices")
         if cfg.s_devices > cfg.n_clients:

@@ -133,15 +133,18 @@ def _delta_k_s(eps_k: float, s: int, delta_k_s_0: float) -> float:
 
 
 def amplify_scheme(
-    eps_k: float, scheme: Scheme, S: int, N: int, K: int, q: float, delta0: float, delta1: float
+    eps_k: float, scheme: Scheme, N: int, K: int, q: float, delta0: float, delta1: float
 ) -> DpBudget:
     """Device-sampling amplification of one round's budget.
 
     Scheme II: eps -> ln(1 + (S/N)(e^eps - 1)), delta -> (S/N)(K q delta0 + delta1).
     Scheme I uses the participation probability 1 - (1 - 1/N)^S on the eps side
     and a binomial mixture over how many of the S draws hit the changed client
-    on the delta side.  Full device is scheme II at S = N (identity on eps).
+    on the delta side.  S is ``scheme.s``; full device is scheme II at S = N (identity on eps).
     """
+    if not isinstance(scheme, (SchemeI, SchemeII)):
+        raise PrivacyError("device-sampling amplification needs scheme I or II")
+    S = scheme.s
     if not 1 <= S <= N:
         raise PrivacyError("need 1 <= S <= N")
     if isinstance(scheme, SchemeI):
@@ -199,9 +202,7 @@ def _chain(params: DpParams):
     eps1 = epsilon_one(params)
     local = compose_local(eps1, params.K, params.q, params.delta0, params.delta1)
     scheme = params.scheme if isinstance(params.scheme, (SchemeI, SchemeII)) else SchemeII(params.N)
-    amplified = amplify_scheme(
-        local.epsilon, scheme, scheme.s, params.N, params.K, params.q, params.delta0, params.delta1
-    )
+    amplified = amplify_scheme(local.epsilon, scheme, params.N, params.K, params.q, params.delta0, params.delta1)
     total = compose_rounds(amplified.epsilon, amplified.delta, params.rounds, params.delta2)
     clamped = local.clamped or amplified.clamped or total.clamped
     return eps1, local, scheme, amplified, DpBudget(total.epsilon, total.delta, clamped)

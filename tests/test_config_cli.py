@@ -154,15 +154,22 @@ def test_ranges_hold_whatever_the_model():
 def test_readme_key_table_matches_key_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration files", 1)[1].split("\n### ", 1)[0]
-    rows = {}
+    rows, documented = {}, {}
     for line in section.splitlines():
         if line.startswith("| `"):
-            for key in re.findall(r"`([^`]+)`", line.split("|")[1]):
-                rows[key] = line
+            cells = line.split("|")
+            keys = re.findall(r"`([^`]+)`", cells[1])
+            defaults = [text.strip().strip("`") for text in cells[3].split(",")]
+            assert len(defaults) == len(keys), f"README row of {keys} needs one default per key"
+            rows.update(dict.fromkeys(keys, line))
+            documented.update(zip(keys, defaults))
     assert set(rows) == set(config._KEYS)
-    for key, (_, interval) in config._KEYS.items():
+    for key, (parse, interval) in config._KEYS.items():
         if interval is not None and "inf" not in interval:
             assert interval in rows[key], f"README row of {key} lacks {interval}"
+        default = getattr(config.ExperimentConfig(), key)
+        if key not in config._MANDATORY and default not in (None, ()):
+            assert parse(documented[key], 0) == default, f"README default of {key} is {documented[key]!r}"
 
 
 def test_bad_scheme_value():
@@ -209,11 +216,16 @@ LOGISTIC_MINIMAL = "model = logistic\nn_clients = 2\npoints_per_client = 6\nseed
         (MINIMAL + "delta2 = -0.1\n", "line 6: delta2 must lie in [0, 1)"),
         (MINIMAL + "eps_star = 0\n", "line 6: eps_star must be positive"),
         (MINIMAL + "delta_star = -1e-3\n", "line 6: delta_star must be positive"),
+        (MINIMAL + "sigma = 1, 2, 2, 1\n", "line 6: sigma is not positive definite: smallest eigenvalue -1.000000e+00"),
+        (MINIMAL + "sigma = 1, 0.5, 0, 1\n", "line 6: sigma must be symmetric within 1e-12"),
+        (MINIMAL + "eps_star = 5\n", "line 6: eps_star needs delta_star"),
+        (MINIMAL + "delta_star = 1e-3\n", "line 6: delta_star needs eps_star"),
     ],
     ids=[
         "seed-1", "n_classes1", "n_features0", "n_test0", "tau-inf", "tau-nan", "seed2^64",
         "target_eps0", "target_eps-1", "delta_l0", "delta0-0", "delta0-1", "delta1-1", "delta2-neg",
-        "eps_star0", "delta_star-neg",
+        "eps_star0", "delta_star-neg", "sigma-indefinite", "sigma-asymmetric", "eps_star-alone",
+        "delta_star-alone",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "plan"])

@@ -106,14 +106,19 @@ def test_compose_local_golden():
 
 
 def test_scheme2_full_participation_identity():
-    budget = amplify_scheme(0.37, SchemeII(10), 10, 10, 5, 0.2, 1e-6, 0.0)
+    budget = amplify_scheme(0.37, SchemeII(10), 10, 5, 0.2, 1e-6, 0.0)
     assert budget.epsilon == pytest.approx(0.37, rel=1e-12)
 
 
 def test_scheme2_vanishing_rate_kills_epsilon():
-    eps = [amplify_scheme(0.5, SchemeII(s), s, 1000, 5, 0.2, 1e-6, 0.0).epsilon for s in (100, 10, 1)]
+    eps = [amplify_scheme(0.5, SchemeII(s), 1000, 5, 0.2, 1e-6, 0.0).epsilon for s in (100, 10, 1)]
     assert eps[0] > eps[1] > eps[2]
     assert eps[2] < 0.001
+
+
+def test_amplify_scheme_rejects_full_device():
+    with pytest.raises(PrivacyError, match="scheme I or II"):
+        amplify_scheme(0.5, FullDevice(), 10, 5, 0.2, 1e-6, 0.0)
 
 
 def test_scheme1_binomial_golden():
@@ -125,13 +130,13 @@ def test_scheme1_binomial_golden():
         d_ks0 = mp.mpf("1.25") * K * q * (d0 / mp.mpf("1.25")) ** (mp.mpf(1) / s ** 2)
         d_ks = (mp.e ** eps_k - 1) * d_ks0 / (mp.e ** (eps_k / s) - 1)
         delta_expected += weight * d_ks
-    got = amplify_scheme(0.5, SchemeI(3), 3, 10, 10, 0.1, 1e-6, 0.0)
+    got = amplify_scheme(0.5, SchemeI(3), 10, 10, 0.1, 1e-6, 0.0)
     assert got.epsilon == pytest.approx(float(eps_expected), rel=1e-12)
     assert got.delta == pytest.approx(float(delta_expected), rel=1e-12)
 
 
 def test_scheme1_tiny_epsilon_uses_analytic_limit():
-    got = amplify_scheme(0.0, SchemeI(3), 3, 10, 10, 0.1, 1e-6, 0.0)
+    got = amplify_scheme(0.0, SchemeI(3), 10, 10, 0.1, 1e-6, 0.0)
     assert got.epsilon == 0.0
     assert math.isfinite(got.delta) and got.delta > 0
 
