@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .streams import SHARED, key_grid, normals_for_keys, uniform_bits_for_keys
+from .streams import SHARED, key_grid, normals_for_keys, uniform_bits_for_keys, uniforms_for_keys
 
 
 class ModelError(ValueError):
@@ -24,18 +24,18 @@ class ModelError(ValueError):
 
 
 def apply_matrix(vectors: np.ndarray, matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-vector times matrix for coordinate-major vectors: (d, ...) -> (d, ...).
+    """Row-vector times a (d, k) matrix for coordinate-major vectors: (d, ...) -> (k, ...).
 
     out[k] = vectors[0] * matrix[0, k] + ... + vectors[d-1] * matrix[d-1, k],
     each product added in index order, so the result is bitwise independent of
-    how the other axes are batched.  The engine relies on this to make batched
-    replications bit-identical to one-at-a-time execution.  Writes to ``out``
-    when given, which must not overlap ``vectors``.
+    how the other axes are batched and of the BLAS build.  The engine relies on
+    this to make batched replications bit-identical to one-at-a-time execution.
+    Writes to ``out`` when given, which must not overlap ``vectors``.
     """
-    d = matrix.shape[0]
-    out = np.empty(np.shape(vectors)) if out is None else out
+    d, k_out = matrix.shape
+    out = np.empty((k_out,) + np.shape(vectors)[1:]) if out is None else out
     term = np.empty(out.shape[1:])
-    for k in range(d):
+    for k in range(k_out):
         np.multiply(vectors[0], matrix[0, k], out=out[k])
         for j in range(1, d):
             out[k] += np.multiply(vectors[j], matrix[j, k], out=term)
@@ -224,6 +224,16 @@ class EnergyConstants:
             raise ModelError("gamma_het, sigma_sg and D must be nonnegative")
 
 
+def _stream_normals(seed: int, count: int, client, purpose: str, d: int) -> np.ndarray:
+    """(d, count) standard normals; column i is stream (seed, i, 0, client, purpose)'s first d."""
+    return normals_for_keys(key_grid(seed, range(count), [0], [client], purpose)[:, 0, 0], d)
+
+
+def _client_centers(seed: int, n_clients: int, alpha: float, d: int) -> np.ndarray:
+    """(d, n_clients) centers ~ N(0, alpha I); column c is stream (seed, 0, 0, c, "data_center")."""
+    return np.sqrt(alpha) * normals_for_keys(key_grid(seed, [0], [0], range(n_clients), "data_center")[0, 0], d)
+
+
 def gen_gaussian_federation(
     n_clients: int,
     alpha: float,
@@ -235,7 +245,12 @@ def gen_gaussian_federation(
     """Draw client centers from N(0, alpha I) and client points from N(center, sigma).
 
     ``points_per_client`` may be a single count or one count per client.
-    Deterministic given ``seed``.
+    Every draw comes from the counter-based streams of ``fald.streams``:
+    client c's center is alpha^(1/2) times the d normals of stream
+    (seed, 0, 0, c, "data_center"), and its point i is the center plus the d
+    normals of stream (seed, i, 0, c, "data_point") times the Cholesky factor
+    of sigma.  So a client's points depend on neither the other clients nor
+    its own count beyond i.
     """
     if n_clients < 1:
         raise ModelError("n_clients must be >= 1")
@@ -246,13 +261,13 @@ def gen_gaussian_federation(
         raise ModelError("points_per_client must be >= 1")
     if alpha < 0:
         raise ModelError("alpha must be nonnegative")
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(sigma)
+    chol_t = np.linalg.cholesky(sigma).T
+    centers = _client_centers(seed, n_clients, alpha, d)
     clients = []
     for c in range(n_clients):
-        center = np.sqrt(alpha) * rng.standard_normal(d)
-        pts = center + rng.standard_normal((int(counts[c]), d)) @ chol.T
-        clients.append(pts)
+        pts = apply_matrix(_stream_normals(seed, int(counts[c]), c, "data_point", d), chol_t)
+        pts += centers[:, c, None]
+        clients.append(pts.T)
     return GaussianModelSpec(sigma=sigma, data=FederatedDataset.from_clients(clients), tau=tau)
 
 
@@ -272,30 +287,43 @@ def gen_logistic_federation(
     Features are drawn around per-client centers ~ N(0, alpha I); labels come
     from a fixed ground-truth softmax model, so predictive probabilities are
     learnable and roughly calibrated.  Returns (model, test_x, test_y).
+
+    Every draw comes from the counter-based streams of ``fald.streams``, one
+    purpose tag per kind: row k of the ground-truth weights is stream
+    (seed, k, 0, SHARED, "data_weights"); client c's center is stream
+    (seed, 0, 0, c, "data_center") as in `gen_gaussian_federation`; its point
+    i is the center plus the normals of stream (seed, i, 0, c, "data_point"),
+    labelled by the first uniform of stream (seed, i, 0, c, "data_label");
+    test point i and its label use streams (seed, i, 0, SHARED, "test_point")
+    and (seed, i, 0, SHARED, "test_label").
     """
     if n_clients < 1 or n_features < 1 or n_classes < 2:
         raise ModelError("need n_clients >= 1, n_features >= 1, n_classes >= 2")
     counts = np.broadcast_to(np.asarray(points_per_client, dtype=np.int64), (n_clients,))
-    rng = np.random.default_rng(seed)
-    w_true = rng.standard_normal((n_classes, n_features))
+    # (F, C): column k holds class k's ground-truth weights
+    weights = _stream_normals(seed, n_classes, SHARED, "data_weights", n_features)
+    centers = _client_centers(seed, n_clients, alpha, n_features)
     clients, labels = [], []
     for c in range(n_clients):
-        center = np.sqrt(alpha) * rng.standard_normal(n_features)
-        x = center + rng.standard_normal((int(counts[c]), n_features))
-        y = _sample_labels(x, w_true, rng)
-        clients.append(x)
-        labels.append(y)
-    test_x = rng.standard_normal((n_test, n_features))
-    test_y = _sample_labels(test_x, w_true, rng)
+        x = _stream_normals(seed, int(counts[c]), c, "data_point", n_features)
+        x += centers[:, c, None]
+        clients.append(x.T)
+        labels.append(_sample_labels(x, weights, seed, c, "data_label"))
+    test_x = _stream_normals(seed, n_test, SHARED, "test_point", n_features)
+    test_y = _sample_labels(test_x, weights, seed, SHARED, "test_label")
     data = FederatedDataset.from_clients(clients, labels)
     model = LogisticModelSpec(data=data, ridge=ridge, tau=tau, n_classes=n_classes)
-    return model, test_x, test_y
+    return model, np.ascontiguousarray(test_x.T), test_y
 
 
-def _sample_labels(x: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    probs = softmax(x @ w.T)
-    u = rng.random(x.shape[0])
-    return (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
+def _sample_labels(x: np.ndarray, weights: np.ndarray, seed: int, client, purpose: str) -> np.ndarray:
+    """Labels of coordinate-major points x (F, n) under the softmax of their logits x . weights (F, C).
+
+    Point i's label inverts the class CDF at the first uniform of stream (seed, i, 0, client, purpose).
+    """
+    u = uniforms_for_keys(key_grid(seed, range(x.shape[1]), [0], [client], purpose)[:, 0, 0], 1)[:, 0]
+    probs = softmax(apply_matrix(x, weights), axis=0)
+    return (probs.cumsum(axis=0) < u).sum(axis=0)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

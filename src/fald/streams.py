@@ -6,6 +6,12 @@ shared between streams, so chains can be replayed, run out of order, or run
 in parallel and always produce the same numbers.  Normals come from a
 Box-Muller transform of the counter-based uniforms: each normal consumes a
 fixed number of uniforms, so stream layouts never depend on the data.
+
+These streams make every random draw in fald: the synthetic federations,
+the chain's noise, minibatches and devices, and the sigma_sg Monte Carlo.
+No fald process loads ``numpy.random``, so no output depends on numpy's
+``Generator`` algorithms, which NEP 19 does not keep stable across numpy
+versions.
 """
 
 from __future__ import annotations

@@ -675,6 +675,24 @@ def test_startup_keeps_blas_on_one_thread_and_loads_no_pool():
         assert json.loads(proc.stdout) == {"env": expected, "loaded": []}
 
 
+def test_commands_load_no_numpy_random(tmp_path):
+    # every draw is a counter-based stream: numpy.random, and the OpenSSL that it
+    # loads through secrets -> hmac -> _hashlib, stay out of a fald process
+    gaussian = write_config(tmp_path, GOLDEN_CONFIGS["gaussian-full-q1"], "gaussian.cfg")
+    logistic = write_config(tmp_path, GOLDEN_CONFIGS["logistic-scheme1:2-q0.5"], "logistic.cfg")
+    calls = [[command, str(path), "--outdir", str(tmp_path / command)]
+             for command, path in (("run", gaussian), ("plan", logistic), ("gen-data", logistic))]
+    probe = (
+        "import contextlib, io, json, sys\nfrom fald import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    codes = [cli.main(argv) for argv in %r]\n"
+        "print(json.dumps({'codes': codes, 'loaded': [m for m in %r if m in sys.modules]}))"
+    ) % (calls, ("numpy.random", "secrets", "_hashlib"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, FALD_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "loaded": []}
+
+
 def test_library_call_forms_of_the_benchmark():
     # bench/layers.py and bench/run.py call these forms directly
     cfg = parse_config(RUN_GAUSSIAN + "delta_l = 1.0\n")

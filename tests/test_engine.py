@@ -561,15 +561,14 @@ def test_divergence_guard_reports_location():
         assert err.iteration >= 0
 
 
-# (replication, iteration, client, kind, repr(value)) of each report, recorded when the
-# chain state was still (B, N, d): the first non-finite entry, or else the largest |theta|,
-# in (replication, client, coordinate) order
+# (replication, iteration, client, kind, repr(value)) of each report: the first non-finite
+# entry, or else the largest |theta|, in (replication, client, coordinate) order
 PINNED_DIVERGENCES = {
-    # eta |grad| overflows at iteration 0 in client 1's second coordinate and in both of
-    # client 3's, for every replication; a coordinate-first scan would name client 3
-    "nan": (0, 0, 1, "nan", "nan"),
+    # eta |grad| overflows at iteration 0 in the second coordinate of clients 0 and 2 and in
+    # both of client 3's, for every replication; a coordinate-first scan would name client 3
+    "nan": (0, 0, 0, "nan", "nan"),
     # the eta sweep of the golden configs, on R = 6: replication 4 holds the largest |theta|
-    "runaway": (4, 6, 2, "divergence", "3976934698305.648"),
+    "runaway": (4, 7, 2, "divergence", "17894585879004.09"),
 }
 
 

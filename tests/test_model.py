@@ -112,6 +112,93 @@ def test_fifty_client_federation_shape():
     assert spec.dim == 2
 
 
+def stream_normals(n, *key):
+    """The first n normals of the one stream ``key`` = (seed, replication, iteration, client, purpose)."""
+    return normals_for_keys(np.uint64(stream_key(*key)), n)
+
+
+def ordered_dot(a, b):
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total += x * y
+    return total
+
+
+def scalar_label(x, w, key):
+    """Softmax label of point x under weights w (C, F) by inverse CDF of stream ``key``'s first uniform."""
+    logits = np.array([ordered_dot(x, row) for row in w])
+    e = np.exp(logits - logits.max())
+    total = e[0]
+    for v in e[1:]:  # fewer than 8 classes: numpy adds them one by one
+        total += v
+    u = uniforms_for_keys(np.uint64(stream_key(*key)), 1)[0]
+    cdf, label = 0.0, 0
+    for v in e:
+        cdf += v / total
+        label += cdf < u
+    return label
+
+
+def scalar_gaussian_federation(seed, alpha, counts, sigma):
+    """Independent reference for gen_gaussian_federation: one scalar stream key per center and point."""
+    d = sigma.shape[0]
+    chol = np.linalg.cholesky(sigma)
+    clients = []
+    for c, n_c in enumerate(counts):
+        center = np.sqrt(alpha) * stream_normals(d, seed, 0, 0, c, "data_center")
+        noise = [stream_normals(d, seed, i, 0, c, "data_point") for i in range(n_c)]
+        clients.append(np.array([[ordered_dot(z, chol[k]) + center[k] for k in range(d)] for z in noise]))
+    return clients
+
+
+def scalar_logistic_federation(seed, alpha, counts, n_features, n_classes, n_test):
+    """Independent reference for gen_logistic_federation: (clients, labels, test_x, test_y)."""
+    w = np.array([stream_normals(n_features, seed, k, 0, SHARED, "data_weights") for k in range(n_classes)])
+    clients, labels = [], []
+    for c, n_c in enumerate(counts):
+        center = np.sqrt(alpha) * stream_normals(n_features, seed, 0, 0, c, "data_center")
+        x = [stream_normals(n_features, seed, i, 0, c, "data_point") + center for i in range(n_c)]
+        clients.append(np.array(x))
+        labels.append([scalar_label(x[i], w, (seed, i, 0, c, "data_label")) for i in range(n_c)])
+    test_x = [stream_normals(n_features, seed, i, 0, SHARED, "test_point") for i in range(n_test)]
+    test_y = [scalar_label(x, w, (seed, i, 0, SHARED, "test_label")) for i, x in enumerate(test_x)]
+    return clients, labels, np.array(test_x), np.array(test_y)
+
+
+D3_SIGMA = np.array([[5.0, -2.0, 1.0], [-2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
+
+
+@pytest.mark.parametrize("seed", [4, 2**64 - 1])
+def test_gaussian_federation_matches_scalar_reference(seed):
+    spec = gen_gaussian_federation(3, 1.5, [2, 5, 3], D3_SIGMA, seed)
+    want = scalar_gaussian_federation(seed, 1.5, [2, 5, 3], D3_SIGMA)
+    assert all(np.array_equal(got, ref) for got, ref in zip(spec.data.clients, want, strict=True))
+
+
+@pytest.mark.parametrize("seed", [4, 2**64 - 1])
+def test_logistic_federation_matches_scalar_reference(seed):
+    # four classes of three features: the logits take a non-square matrix
+    spec, test_x, test_y = gen_logistic_federation(3, 0.5, [6, 9, 4], 3, 4, seed, n_test=40)
+    clients, labels, ref_x, ref_y = scalar_logistic_federation(seed, 0.5, [6, 9, 4], 3, 4, 40)
+    assert all(np.array_equal(got, ref) for got, ref in zip(spec.data.clients, clients, strict=True))
+    assert all(np.array_equal(got, ref) for got, ref in zip(spec.data.labels, labels, strict=True))
+    assert np.array_equal(test_x, ref_x) and np.array_equal(test_y, ref_y)
+    # the labels are not constant, so the inverse CDF is exercised
+    assert len(set(np.concatenate(spec.data.labels).tolist())) > 1
+
+
+def test_client_points_do_not_depend_on_other_clients():
+    # changing another client's count, appending a client or growing this client
+    # keeps client c's points (and labels), since each point has its own stream
+    gauss = [gen_gaussian_federation(len(n), 1.0, n, REF_SIGMA, 8).data for n in ([4, 5, 6], [4, 9, 6, 2])]
+    logistic = [gen_logistic_federation(len(n), 0.5, n, 2, 3, 8, n_test=3)[0].data for n in ([4, 5, 6], [4, 9, 6, 2])]
+    for base, other in (gauss, logistic):
+        for c in (0, 2):
+            assert np.array_equal(base.clients[c], other.clients[c])
+        assert np.array_equal(base.clients[1], other.clients[1][:5])
+    assert all(np.array_equal(logistic[0].labels[c], logistic[1].labels[c][:n]) for c, n in enumerate([4, 5, 6]))
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -360,7 +447,11 @@ def scalar_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed):
             sq = 0.0
             for draw in range(mc_draws):
                 g = one_minibatch_grad(model, c, theta, q, stream_key(seed, p, draw, c, "sigma_sg"))
-                sq += float(np.sum((g - exact) ** 2))
+                # coordinates one after another: np.sum adds 8 or more of them pairwise
+                err = 0.0
+                for diff in g - exact:
+                    err += diff * diff
+                sq += float(err)
             worst = max(worst, sq / mc_draws / d)
     return float(np.sqrt(1.5 * worst))
 
