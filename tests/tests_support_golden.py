@@ -76,12 +76,14 @@ _SCHEMES = {
 # analysis commands need a privacy sensitivity, budgets and an accuracy target
 _ANALYSIS = "delta_l = 1.0\neps_star = 50.0\ndelta_star = 0.5\ntarget_eps = 0.5\n"
 
-RUN_FILES = ("trajectory.csv", "run_metrics.csv", "summary.txt")
-ANALYSIS_FILES = {"plan": "plan.txt", "bounds": "bounds.csv", "privacy": "privacy_report.txt"}
+RUN_FILES = ("trajectory.csv", "run_metrics.csv", "run_metrics.svg", "summary.txt")
+ANALYSIS_FILES = {"plan": ("plan.txt",), "bounds": ("bounds.csv", "bounds.svg"), "privacy": ("privacy_report.txt",)}
 ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1",
             "logistic-c9-scheme1:2-q0.5")
 GEN_DATA = ("gaussian-full-q1", "logistic-full-q1")
 SWEEP_FILES = ("sweep.csv", "sweep_t_eps.csv")
+# one chart per charted metric: W2 for the Gaussian model, each predictive metric for the softmax one
+SWEEP_CHARTS = {"gaussian": ("sweep_w2.svg",), "logistic": ("sweep_accuracy.svg", "sweep_brier.svg", "sweep_ece.svg")}
 # what `import fald` sets to "1" unless already set: a fald process runs BLAS on one thread
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -158,9 +160,10 @@ def output_digests(name: str, workdir: Path, fald=in_process) -> dict:
     cfg_path.write_text(GOLDEN_CONFIGS[name], encoding="utf-8")
     # sweep_t_eps.csv is written only when the config sets target_eps
     sweep_files = SWEEP_FILES if "target_eps" in GOLDEN_CONFIGS[name] else SWEEP_FILES[:1]
+    sweep_files += SWEEP_CHARTS[name.split("-")[1]] if name.startswith("sweep-") else ()
     commands = {"sweep": sweep_files} if name.startswith("sweep-") else {"run": RUN_FILES}
     if name in ANALYSED:
-        commands.update({command: (file,) for command, file in ANALYSIS_FILES.items()})
+        commands.update(ANALYSIS_FILES)
     if name in GEN_DATA:
         commands["gen-data"] = ("dataset.csv",)
     digests = {}
