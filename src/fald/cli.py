@@ -200,12 +200,12 @@ def logistic_metric_rows(cfg: ExperimentConfig, spec, records: np.ndarray, test_
     return rows
 
 
-def smoothed_first_crossing(rounds, values, eps: float, window: int = T_EPS_SMOOTHING_WINDOW):
-    """First round whose trailing-window moving average is <= eps; inf if none."""
+def smoothed_first_crossing(rounds, values, eps: float):
+    """First round whose trailing moving average over T_EPS_SMOOTHING_WINDOW values is <= eps; inf if none."""
     acc = []
     for i, v in enumerate(values):
         acc.append(v)
-        avg = float(np.mean(acc[-window:]))
+        avg = float(np.mean(acc[-T_EPS_SMOOTHING_WINDOW:]))
         if avg <= eps:
             return int(rounds[i])
     return math.inf

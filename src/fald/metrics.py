@@ -59,12 +59,13 @@ def empirical_summary(samples: np.ndarray) -> GaussianSummary:
     return GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def sym_sqrt(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def sym_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Negative eigenvalues within roundoff are clamped to zero; inputs that are
     asymmetric beyond ``tol`` are rejected.
     """
+    tol = 1e-8
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise MetricsError("sym_sqrt expects a square matrix")

@@ -68,35 +68,30 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FederatedDataset:
-    """Per-client point sets with count-derived client weights."""
+    """Per-client point sets with count-derived client weights p_c = n_c / sum_i n_i."""
 
-    clients: tuple  # tuple of (n_c, d) float arrays
-    weights: np.ndarray  # p_c = n_c / sum_i n_i
-    labels: Optional[tuple] = None  # tuple of (n_c,) int arrays, classification only
+    clients: Sequence[np.ndarray]  # (n_c, d) points per client, stored as a tuple of float64 arrays
+    labels: Optional[Sequence[np.ndarray]] = None  # (n_c,) labels per client, classification only
 
-    @staticmethod
-    def from_clients(clients: Sequence[np.ndarray], labels: Optional[Sequence[np.ndarray]] = None) -> "FederatedDataset":
-        if len(clients) == 0:
+    def __post_init__(self):
+        if len(self.clients) == 0:
             raise ModelError("a federation needs at least one client")
-        arrays = tuple(np.ascontiguousarray(np.atleast_2d(np.asarray(c, dtype=np.float64))) for c in clients)
-        d = arrays[0].shape[1]
-        for i, a in enumerate(arrays):
+        clients = tuple(np.ascontiguousarray(np.atleast_2d(np.asarray(c, dtype=np.float64))) for c in self.clients)
+        d = clients[0].shape[1]
+        for i, a in enumerate(clients):
             if a.shape[0] == 0:
                 raise ModelError(f"client {i} holds no points")
             if a.shape[1] != d:
                 raise ModelError(f"client {i} has dimension {a.shape[1]}, expected {d}")
-        counts = np.array([a.shape[0] for a in arrays], dtype=np.float64)
-        weights = counts / counts.sum()
-        lab = None
-        if labels is not None:
-            lab = tuple(np.asarray(l, dtype=np.int64) for l in labels)
-            for i, (a, l) in enumerate(zip(arrays, lab)):
+        object.__setattr__(self, "clients", clients)
+        if self.labels is not None:
+            labels = tuple(np.asarray(l, dtype=np.int64) for l in self.labels)
+            for i, (a, l) in enumerate(zip(clients, labels)):
                 if l.shape != (a.shape[0],):
                     raise ModelError(f"client {i}: labels do not match point count")
-        return FederatedDataset(arrays, weights, lab)
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", np.array([c.shape[0] for c in self.clients], dtype=np.int64))
+            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "counts", np.array([c.shape[0] for c in clients], dtype=np.int64))
+        object.__setattr__(self, "weights", self.counts / self.counts.sum())
         object.__setattr__(self, "total_points", int(self.counts.sum()))
         # every point and label in client order; client c's rows start at client_starts[c]
         object.__setattr__(self, "all_points", np.concatenate(self.clients))
@@ -118,12 +113,6 @@ class FederatedDataset:
     @property
     def dim(self) -> int:
         return self.clients[0].shape[1]
-
-    def validate(self) -> None:
-        if np.any(self.weights <= 0):
-            raise ModelError("all client weights must be positive")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ModelError("client weights must sum to 1 within 1e-12")
 
 
 def _check_spd(sigma: np.ndarray, what: str = "sigma") -> np.ndarray:
@@ -148,7 +137,6 @@ class GaussianModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_spd(self.sigma))
-        self.data.validate()
         if self.data.dim != self.sigma.shape[0]:
             raise ModelError("data dimension does not match sigma")
         if self.tau < 0:
@@ -173,24 +161,18 @@ class LogisticModelSpec:
 
     data: FederatedDataset
     ridge: float
+    n_classes: int
     tau: float = 1.0
-    n_classes: int = 0  # 0: infer from labels
 
     def __post_init__(self):
-        self.data.validate()
         if self.data.labels is None:
             raise ModelError("logistic model requires labeled data")
         if self.ridge <= 0:
             raise ModelError("ridge must be > 0 so the energy is strongly convex")
         if self.tau < 0:
             raise ModelError("tau must be nonnegative")
-        n_classes = self.n_classes
-        max_label = max(int(l.max()) for l in self.data.labels)
-        if n_classes == 0:
-            n_classes = max_label + 1
-            object.__setattr__(self, "n_classes", n_classes)
-        if max_label >= n_classes or min(int(l.min()) for l in self.data.labels) < 0:
-            raise ModelError(f"labels must lie in 0..{n_classes - 1}")
+        if self.data.all_labels.max() >= self.n_classes or self.data.all_labels.min() < 0:
+            raise ModelError(f"labels must lie in 0..{self.n_classes - 1}")
 
     @property
     def n_features(self) -> int:
@@ -229,9 +211,27 @@ def _stream_normals(seed: int, count: int, client, purpose: str, d: int) -> np.n
     return normals_for_keys(key_grid(seed, range(count), [0], [client], purpose)[:, 0, 0], d)
 
 
-def _client_centers(seed: int, n_clients: int, alpha: float, d: int) -> np.ndarray:
-    """(d, n_clients) centers ~ N(0, alpha I); column c is stream (seed, 0, 0, c, "data_center")."""
-    return np.sqrt(alpha) * normals_for_keys(key_grid(seed, [0], [0], range(n_clients), "data_center")[0, 0], d)
+def _draw_clients(seed: int, n_clients: int, alpha: float, points_per_client, d: int, chol_t=None) -> list:
+    """Checked client point arrays (n_c, d), transposed views of coordinate-major draws.
+
+    Client c's center is alpha^(1/2) times the d normals of stream (seed, 0, 0, c, "data_center"); its
+    point i is the center plus the d normals of stream (seed, i, 0, c, "data_point") times ``chol_t``, if given.
+    """
+    if n_clients < 1:
+        raise ModelError("n_clients must be >= 1")
+    counts = np.broadcast_to(np.asarray(points_per_client, dtype=np.int64), (n_clients,))
+    if np.any(counts < 1):
+        raise ModelError("points_per_client must be >= 1")
+    if alpha < 0:
+        raise ModelError("alpha must be nonnegative")
+    centers = np.sqrt(alpha) * normals_for_keys(key_grid(seed, [0], [0], range(n_clients), "data_center")[0, 0], d)
+    clients = []
+    for c in range(n_clients):
+        pts = _stream_normals(seed, int(counts[c]), c, "data_point", d)
+        pts = pts if chol_t is None else apply_matrix(pts, chol_t)
+        pts += centers[:, c, None]
+        clients.append(pts.T)
+    return clients
 
 
 def gen_gaussian_federation(
@@ -245,30 +245,14 @@ def gen_gaussian_federation(
     """Draw client centers from N(0, alpha I) and client points from N(center, sigma).
 
     ``points_per_client`` may be a single count or one count per client.
-    Every draw comes from the counter-based streams of ``fald.streams``:
-    client c's center is alpha^(1/2) times the d normals of stream
-    (seed, 0, 0, c, "data_center"), and its point i is the center plus the d
-    normals of stream (seed, i, 0, c, "data_point") times the Cholesky factor
-    of sigma.  So a client's points depend on neither the other clients nor
-    its own count beyond i.
+    Every draw comes from the counter-based streams of ``fald.streams``
+    (see `_draw_clients`), the point normals times the Cholesky factor of
+    sigma.  So client c's point i depends on neither the other clients nor
+    the number of points client c holds.
     """
-    if n_clients < 1:
-        raise ModelError("n_clients must be >= 1")
     sigma = _check_spd(sigma)
-    d = sigma.shape[0]
-    counts = np.broadcast_to(np.asarray(points_per_client, dtype=np.int64), (n_clients,))
-    if np.any(counts < 1):
-        raise ModelError("points_per_client must be >= 1")
-    if alpha < 0:
-        raise ModelError("alpha must be nonnegative")
-    chol_t = np.linalg.cholesky(sigma).T
-    centers = _client_centers(seed, n_clients, alpha, d)
-    clients = []
-    for c in range(n_clients):
-        pts = apply_matrix(_stream_normals(seed, int(counts[c]), c, "data_point", d), chol_t)
-        pts += centers[:, c, None]
-        clients.append(pts.T)
-    return GaussianModelSpec(sigma=sigma, data=FederatedDataset.from_clients(clients), tau=tau)
+    clients = _draw_clients(seed, n_clients, alpha, points_per_client, sigma.shape[0], np.linalg.cholesky(sigma).T)
+    return GaussianModelSpec(sigma=sigma, data=FederatedDataset(clients), tau=tau)
 
 
 def gen_logistic_federation(
@@ -290,29 +274,20 @@ def gen_logistic_federation(
 
     Every draw comes from the counter-based streams of ``fald.streams``, one
     purpose tag per kind: row k of the ground-truth weights is stream
-    (seed, k, 0, SHARED, "data_weights"); client c's center is stream
-    (seed, 0, 0, c, "data_center") as in `gen_gaussian_federation`; its point
-    i is the center plus the normals of stream (seed, i, 0, c, "data_point"),
-    labelled by the first uniform of stream (seed, i, 0, c, "data_label");
-    test point i and its label use streams (seed, i, 0, SHARED, "test_point")
+    (seed, k, 0, SHARED, "data_weights"); client c's center and points come
+    from `_draw_clients` without a Cholesky factor, point i labelled by the
+    first uniform of stream (seed, i, 0, c, "data_label"); test point i and its label use streams (seed, i, 0, SHARED, "test_point")
     and (seed, i, 0, SHARED, "test_label").
     """
-    if n_clients < 1 or n_features < 1 or n_classes < 2:
-        raise ModelError("need n_clients >= 1, n_features >= 1, n_classes >= 2")
-    counts = np.broadcast_to(np.asarray(points_per_client, dtype=np.int64), (n_clients,))
+    if n_features < 1 or n_classes < 2:
+        raise ModelError("need n_features >= 1, n_classes >= 2")
+    clients = _draw_clients(seed, n_clients, alpha, points_per_client, n_features)
     # (F, C): column k holds class k's ground-truth weights
     weights = _stream_normals(seed, n_classes, SHARED, "data_weights", n_features)
-    centers = _client_centers(seed, n_clients, alpha, n_features)
-    clients, labels = [], []
-    for c in range(n_clients):
-        x = _stream_normals(seed, int(counts[c]), c, "data_point", n_features)
-        x += centers[:, c, None]
-        clients.append(x.T)
-        labels.append(_sample_labels(x, weights, seed, c, "data_label"))
+    labels = [_sample_labels(x.T, weights, seed, c, "data_label") for c, x in enumerate(clients)]
     test_x = _stream_normals(seed, n_test, SHARED, "test_point", n_features)
     test_y = _sample_labels(test_x, weights, seed, SHARED, "test_label")
-    data = FederatedDataset.from_clients(clients, labels)
-    model = LogisticModelSpec(data=data, ridge=ridge, tau=tau, n_classes=n_classes)
+    model = LogisticModelSpec(data=FederatedDataset(clients, labels), ridge=ridge, tau=tau, n_classes=n_classes)
     return model, np.ascontiguousarray(test_x.T), test_y
 
 
@@ -620,7 +595,7 @@ def _softmax_hessian(x: np.ndarray, probs: np.ndarray, ridge: float) -> np.ndarr
     return hess[0] + n * ridge * np.eye(dim)
 
 
-def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def _newton_minimize(model: LogisticModelSpec) -> np.ndarray:
     """Damped Newton on the total energy, then full steps; errors out if it fails to converge.
 
     Near the minimizer the Armijo decrease falls below the energy's rounding
@@ -629,6 +604,7 @@ def _newton_minimize(model: LogisticModelSpec, tol: float = 1e-10, max_iter: int
     below 8 eps |f|, which the energy cannot resolve, or after ``max_iter``
     damped steps.
     """
+    tol, max_iter = 1e-10, 200
     C, F = model.n_classes, model.n_features
     dim = C * F
     theta = np.zeros(dim)
@@ -692,4 +668,4 @@ def load_dataset_csv(path) -> FederatedDataset:
         ids = sorted(by_client)
         clients = [np.array(by_client[c][0]) for c in ids]
         labels = [np.array(by_client[c][1], dtype=np.int64) for c in ids] if has_label else None
-        return FederatedDataset.from_clients(clients, labels)
+        return FederatedDataset(clients, labels)

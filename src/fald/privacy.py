@@ -14,10 +14,10 @@ rename prevents silent misuse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .engine import FullDevice, Scheme, SchemeI, SchemeII
+from .engine import Scheme, SchemeI, SchemeII
 
 _EPS_TINY = 1e-12  # below this, (e^eps - 1)/(e^{eps/s} - 1) uses its limit s
 
@@ -39,10 +39,10 @@ class DpParams:
     K: int
     T: int
     N: int
-    scheme: Scheme = field(default_factory=FullDevice)
-    delta0: float = 1e-5
-    delta1: float = 0.0
-    delta2: float = 0.0
+    scheme: Scheme
+    delta0: float
+    delta1: float
+    delta2: float
 
     def __post_init__(self):
         if self.delta_l <= 0:
@@ -239,10 +239,8 @@ def account_report(params: DpParams) -> dict:
 DEFAULT_RHO_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
 
-def budget_search(
-    eps_star: float, delta_star: float, params: DpParams, rho_grid=DEFAULT_RHO_GRID
-) -> Optional[Tuple[float, int]]:
-    """Largest (rho, S) on the grid meeting both budgets; lexicographic in (rho, S).
+def budget_search(eps_star: float, delta_star: float, params: DpParams) -> Optional[Tuple[float, int]]:
+    """Largest (rho, S) on DEFAULT_RHO_GRID x 1..N meeting both budgets; lexicographic in (rho, S).
 
     Grid points where eta is inadmissible count as infeasible.  Returns None
     when nothing on the grid fits.
@@ -250,7 +248,7 @@ def budget_search(
     if eps_star <= 0 or delta_star <= 0:
         raise PrivacyError("budgets must be positive")
     scheme_type = SchemeII if not isinstance(params.scheme, SchemeI) else SchemeI
-    for rho in sorted(rho_grid, reverse=True):
+    for rho in sorted(DEFAULT_RHO_GRID, reverse=True):
         for S in range(params.N, 0, -1):
             trial = replace(params, rho=rho, scheme=scheme_type(S))
             if trial.eta > eta_max_dp(trial):

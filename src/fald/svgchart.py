@@ -41,6 +41,13 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
+def _drawn(xs: Sequence[float], ys: Sequence[float], log_y: bool):
+    """The (x, y) pairs a chart draws, y as plotted: finite points only, and on a log axis positive y as log10 y."""
+    for x, y in zip(xs, ys):
+        if math.isfinite(x) and math.isfinite(y) and not (log_y and y <= 0):
+            yield float(x), math.log10(y) if log_y else float(y)
+
+
 def line_chart(
     series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
     title: str,
@@ -49,14 +56,7 @@ def line_chart(
     log_y: bool = False,
 ) -> str:
     """Render named (x, y) series to an SVG document string."""
-    points = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_y and y <= 0:
-                continue
-            points.append((float(x), math.log10(y) if log_y else float(y)))
+    points = [p for _, xs, ys in series for p in _drawn(xs, ys, log_y)]
     if not points:
         points = [(0.0, 0.0), (1.0, 1.0)]
     x_lo = min(p[0] for p in points)
@@ -108,12 +108,7 @@ def line_chart(
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        coords = []
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)) or (log_y and y <= 0):
-                continue
-            yy = math.log10(y) if log_y else y
-            coords.append(f"{sx(x):.2f},{sy(yy):.2f}")
+        coords = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in _drawn(xs, ys, log_y)]
         if coords:
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(coords)}"/>'

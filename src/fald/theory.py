@@ -99,24 +99,27 @@ def _initial_term(inputs: BoundInputs) -> float:
     return np.sqrt(2.0 * inputs.d) * (inputs.D + np.sqrt(inputs.tau / inputs.m))
 
 
-def bound_full_fixed(inputs: BoundInputs, k: int) -> float:
-    """Full-device fixed-step bound at iteration k.
-
-    (1 - eta m/4)^k sqrt(2d)(D + sqrt(tau/m))
-      + 30 kappa sqrt(eta m d) sqrt(((K-1)^2 + kappa) H_rho).
-    rho = 0 gives the independent-noise special case.
-    """
+def _fixed_step_bound(inputs: BoundInputs, k: int, local: int) -> float:
+    """(1 - eta m/4)^k sqrt(2d)(D + sqrt(tau/m)) + 30 kappa sqrt(eta m d) sqrt((local + kappa) H_rho)."""
     eta = inputs.checked_eta()
     kappa = inputs.kappa
     decay = (1.0 - eta * inputs.m / 4.0) ** k
-    asymptote = 30.0 * kappa * np.sqrt(eta * inputs.m * inputs.d) * np.sqrt(
-        ((inputs.K - 1) ** 2 + kappa) * h_rho(inputs)
-    )
-    return decay * _initial_term(inputs) + asymptote
+    middle = 30.0 * kappa * np.sqrt(eta * inputs.m * inputs.d) * np.sqrt((local + kappa) * h_rho(inputs))
+    return decay * _initial_term(inputs) + middle
+
+
+def bound_full_fixed(inputs: BoundInputs, k: int) -> float:
+    """Full-device fixed-step bound at iteration k, local term (K-1)^2; rho = 0 gives independent noise."""
+    return _fixed_step_bound(inputs, k, (inputs.K - 1) ** 2)
 
 
 def bound_decaying(inputs: BoundInputs, k: int) -> float:
-    """Varying-step bound 45 kappa sqrt(((K-1)^2 + kappa) H_0) sqrt(eta_k m d)."""
+    """Full-device varying-step bound 45 kappa sqrt(((K-1)^2 + kappa) H_0) sqrt(eta_k m d).
+
+    The source states none for partial participation, so scheme I and II raise.
+    """
+    if not isinstance(inputs.scheme, FullDevice):
+        raise TheoryError("the decaying-step bound holds for full device participation only")
     eta_k = step_size(DecayingStep(inputs.L, inputs.m), k)
     h0 = h_rho(replace(inputs, rho=0.0))
     kappa = inputs.kappa
@@ -150,22 +153,17 @@ def bound_partial(inputs: BoundInputs, k: int) -> float:
     S = inputs.scheme.s
     if S > inputs.N:
         raise TheoryError("S cannot exceed N")
-    eta = inputs.checked_eta()
-    kappa = inputs.kappa
-    decay = (1.0 - eta * inputs.m / 4.0) ** k
-    middle = 30.0 * kappa * np.sqrt(eta * inputs.m * inputs.d) * np.sqrt(
-        (inputs.K ** 2 + kappa) * h_rho(inputs)
-    )
+    full_device = _fixed_step_bound(inputs, k, inputs.K ** 2)
     rho2 = inputs.rho ** 2
     bias = 2.0 * np.sqrt(
-        round_factor(eta, inputs.m, inputs.K)
+        round_factor(inputs.eta, inputs.m, inputs.K)
         * inputs.d
         * inputs.tau
         / (S * inputs.m)
         * (rho2 + inputs.N * (1.0 - rho2))
         * scheme_factor(inputs.scheme, inputs.N)
     )
-    return decay * _initial_term(inputs) + middle + bias
+    return full_device + bias
 
 
 def plan_steps(epsilon: float, inputs: BoundInputs):

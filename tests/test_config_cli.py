@@ -582,6 +582,17 @@ def test_bounds_decaying_schedule(tmp_path):
     assert all(a > b for a, b in zip(values, values[1:]))  # decays with k
 
 
+@pytest.mark.parametrize("scheme", ["scheme1", "scheme2"])
+def test_bounds_decaying_schedule_rejects_partial_devices(scheme, tmp_path, capsys):
+    # the decaying-step bound is stated for full device participation only; the
+    # partial-device bias must not be dropped silently
+    text = RUN_GAUSSIAN.replace("eta = 0.0005", "schedule = decaying") + f"scheme = {scheme}\ns_devices = 1\n"
+    path = write_config(tmp_path, text)
+    assert run_cli(["bounds", path, "--outdir", tmp_path]) == 3
+    assert "full device participation only" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 def test_logistic_run_metrics(tmp_path):
     text = """
 model = logistic

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,19 +44,46 @@ def make_spec(n_clients=3, alpha=1.0, points=8, seed=0, sigma=None, tau=1.0):
 
 
 def test_weights_derive_from_counts():
-    data = FederatedDataset.from_clients([np.zeros((2, 1)), np.zeros((6, 1))])
+    data = FederatedDataset([np.zeros((2, 1)), np.zeros((6, 1))])
     assert np.allclose(data.weights, [0.25, 0.75])
-    data.validate()
+
+
+def test_weights_are_counts_over_their_sum_bit_for_bit():
+    sizes = (3, 7, 11, 5)
+    data = FederatedDataset([np.zeros((n, 2)) for n in sizes])
+    counts = np.array(sizes, dtype=np.float64)
+    assert data.weights.tobytes() == (counts / counts.sum()).tobytes()
+    spec = make_spec(n_clients=4, points=sizes)
+    assert spec.data.weights.tobytes() == (counts / counts.sum()).tobytes()
+
+
+FEDERATIONS = {
+    "gaussian": lambda n_clients, alpha, points: gen_gaussian_federation(n_clients, alpha, points, REF_SIGMA, 0),
+    "logistic": lambda n_clients, alpha, points: gen_logistic_federation(n_clients, alpha, points, 2, 3, 0),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FEDERATIONS))
+@pytest.mark.parametrize("n_clients, alpha, points, message", [
+    (2, -1.0, 5, "alpha must be nonnegative"),
+    (0, 1.0, 5, "n_clients must be >= 1"),
+    (2, 1.0, [5, 0], "points_per_client must be >= 1"),
+])
+def test_generators_share_the_federation_checks(model, n_clients, alpha, points, message):
+    # both generators draw their clients through one checked helper; a negative
+    # alpha once gave the softmax federation NaN points and all-zero labels
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        FEDERATIONS[model](n_clients, alpha, points)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ModelError, match="dimension"):
-        FederatedDataset.from_clients([np.zeros((2, 1)), np.zeros((2, 3))])
+        FederatedDataset([np.zeros((2, 1)), np.zeros((2, 3))])
 
 
 def test_empty_client_rejected():
     with pytest.raises(ModelError, match="no points"):
-        FederatedDataset.from_clients([np.zeros((0, 2)), np.zeros((2, 2))])
+        FederatedDataset([np.zeros((0, 2)), np.zeros((2, 2))])
 
 
 def test_dataset_csv_roundtrip(tmp_path):
@@ -210,7 +239,7 @@ def test_grad_zero_at_single_data_point():
 
 
 def test_grad_identity_precision():
-    data = FederatedDataset.from_clients([np.array([[0.5, -1.5]])])
+    data = FederatedDataset([np.array([[0.5, -1.5]])])
     spec = fald.GaussianModelSpec(sigma=np.eye(2), data=data)
     theta = data.clients[0][0] + np.array([1.0, 2.0])
     assert np.allclose(client_grad(spec, 0, theta), [1.0, 2.0])
@@ -525,7 +554,7 @@ def test_closed_form_smoothness_matches_constants():
 
 def test_identical_clients_have_zero_heterogeneity():
     pts = np.random.default_rng(3).standard_normal((6, 2))
-    data = FederatedDataset.from_clients([pts.copy(), pts.copy(), pts.copy()])
+    data = FederatedDataset([pts.copy(), pts.copy(), pts.copy()])
     spec = fald.GaussianModelSpec(sigma=REF_SIGMA, data=data)
     assert constants(spec, 0.0).gamma_het < 1e-9
 
@@ -639,7 +668,7 @@ def test_newton_leaves_damped_phase_at_rounding_level_decrement(monkeypatch):
 def test_ridge_required():
     spec, _, _ = gen_logistic_federation(2, 0.3, 6, 2, 2, seed=5, ridge=0.1)
     with pytest.raises(ModelError, match="ridge"):
-        fald.LogisticModelSpec(data=spec.data, ridge=0.0)
+        fald.LogisticModelSpec(data=spec.data, ridge=0.0, n_classes=2)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,12 @@ def test_decaying_vanishes_like_inverse_sqrt():
     assert bigger == pytest.approx(big / 2, rel=1e-3)
 
 
+@pytest.mark.parametrize("scheme", [SchemeI(5), SchemeII(5)])
+def test_decaying_bound_rejects_partial_devices(scheme):
+    with pytest.raises(TheoryError, match="full device participation only"):
+        bound_decaying(BoundInputs(**DESK, scheme=scheme), 0)
+
+
 def test_decaying_golden_at_k100():
     inp = BoundInputs(**DESK)
     v = DESK
