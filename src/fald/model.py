@@ -276,8 +276,9 @@ def gen_logistic_federation(
     purpose tag per kind: row k of the ground-truth weights is stream
     (seed, k, 0, SHARED, "data_weights"); client c's center and points come
     from `_draw_clients` without a Cholesky factor, point i labelled by the
-    first uniform of stream (seed, i, 0, c, "data_label"); test point i and its label use streams (seed, i, 0, SHARED, "test_point")
-    and (seed, i, 0, SHARED, "test_label").
+    first uniform of stream (seed, i, 0, c, "data_label"); test point i and
+    its label use streams (seed, i, 0, SHARED, "test_point") and
+    (seed, i, 0, SHARED, "test_label").
     """
     if n_features < 1 or n_classes < 2:
         raise ModelError("need n_features >= 1, n_classes >= 2")

@@ -70,8 +70,8 @@ FEDERATIONS = {
     (2, 1.0, [5, 0], "points_per_client must be >= 1"),
 ])
 def test_generators_share_the_federation_checks(model, n_clients, alpha, points, message):
-    # both generators draw their clients through one checked helper; a negative
-    # alpha once gave the softmax federation NaN points and all-zero labels
+    # one checked helper draws both federations' clients; unchecked, a negative
+    # alpha gives NaN points and all-zero labels
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         FEDERATIONS[model](n_clients, alpha, points)
 
