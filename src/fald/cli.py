@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterator, List, Optional
 
@@ -164,74 +164,63 @@ def model_constants(cfg: ExperimentConfig, spec) -> model_mod.EnergyConstants:
 
 
 # ---------------------------------------------------------------------------
-# metric curves
+# metric table
 
 
-def gaussian_metric_rows(records: np.ndarray, target: metrics.GaussianSummary):
-    """(round, w2, w2_mean, w2_cov) per communication round."""
-    rows = []
-    for r in range(records.shape[1]):
-        summary = metrics.empirical_summary(records[:, r, :])
-        total, mean_part, cov_part = metrics.w2_gaussian_parts(summary, target)
-        rows.append((r, total, mean_part, cov_part))
-    return rows
-
-
-def logistic_metric_rows(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test_y):
-    """(round, accuracy, brier, ece) at each sample-collection round.
+def logistic_metric_rows(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test_y) -> dict:
+    """The round, accuracy, brier and ece columns at each sample-collection round.
 
     One parameter sample per replication is collected every ``collect_every``
     rounds after the warmup; predictions average over all samples collected so
     far, pooled across replications.
     """
-    averager = metrics.RunningPredictiveAverage()
-    rows = []
-    R, n_rounds = records.shape[0], records.shape[1] - 1
-    for r in range(cfg.warmup_rounds + cfg.collect_every, n_rounds + 1, cfg.collect_every):
-        for rep in range(R):
-            averager.add(model_mod.predict_proba(spec, records[rep, r, :], test_x))
-        scored = metrics.classification_metrics(averager.mean(), test_y, cfg.ece_bins)
-        rows.append((r, scored.accuracy, scored.brier, scored.ece))
-    if not rows:
+    table = {"round": list(range(cfg.warmup_rounds + cfg.collect_every, records.shape[1], cfg.collect_every))}
+    if not table["round"]:
         raise ConfigError(
             "horizon ends before the first sample-collection round "
             f"(warmup_rounds + collect_every = {cfg.warmup_rounds + cfg.collect_every} rounds)"
         )
-    return rows
+    total = None
+    for i, r in enumerate(table["round"]):
+        for theta in records[:, r]:  # one sample per replication
+            probs = model_mod.predict_proba(spec, theta, test_x)
+            total = probs if total is None else total + probs
+        scored = metrics.classification_metrics(total / ((i + 1) * len(records)), test_y, cfg.ece_bins)
+        for name, value in asdict(scored).items():
+            table.setdefault(name, []).append(value)
+    return table
+
+
+def metric_table(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test_y) -> dict:
+    """One run's metric columns, "round" first: w2, w2_mean and w2_cov at every round of a
+    Gaussian run, the predictive metrics of `logistic_metric_rows` for a logistic one."""
+    if cfg.model != "gaussian":
+        return logistic_metric_rows(cfg, spec, records, test_x, test_y)
+    target = model_mod.target_posterior(spec)
+    table = {"round": list(range(records.shape[1]))}
+    parts = [metrics.w2_gaussian_parts(metrics.empirical_summary(records[:, r, :]), target) for r in table["round"]]
+    table.update(zip(("w2", "w2_mean", "w2_cov"), zip(*parts)))
+    return table
+
+
+def charted(cfg: ExperimentConfig, table: dict):
+    """(metric, rounds, values) per charted metric: W2 alone for Gaussian runs, every metric for logistic runs."""
+    names = ["w2"] if cfg.model == "gaussian" else list(table)[1:]
+    return [(name, table["round"], table[name]) for name in names]
 
 
 def smoothed_first_crossing(rounds, values, eps: float):
     """First round whose trailing moving average over T_EPS_SMOOTHING_WINDOW values is <= eps; inf if none."""
-    acc = []
-    for i, v in enumerate(values):
-        acc.append(v)
-        avg = float(np.mean(acc[-T_EPS_SMOOTHING_WINDOW:]))
-        if avg <= eps:
+    for i in range(len(values)):
+        if float(np.mean(values[max(0, i + 1 - T_EPS_SMOOTHING_WINDOW) : i + 1])) <= eps:
             return int(rounds[i])
     return math.inf
 
 
-def t_eps_of_rows(rows, eps: float, K: int):
+def t_eps(table: dict, eps: float, K: int):
     """(rounds, iterations) until the smoothed W2 curve first reaches eps."""
-    t_round = smoothed_first_crossing([row[0] for row in rows], [row[1] for row in rows], eps)
+    t_round = smoothed_first_crossing(table["round"], table["w2"], eps)
     return t_round, t_round * K if math.isfinite(t_round) else math.inf
-
-
-def metric_curves(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test_y):
-    """(header, rows, {metric: (rounds, values)}) of one run's records.
-
-    Gaussian runs chart W2 only; logistic runs chart every metric column.
-    """
-    if cfg.model == "gaussian":
-        header = ["round", "w2", "w2_mean", "w2_cov"]
-        rows = gaussian_metric_rows(records, model_mod.target_posterior(spec))
-        charted = header[1:2]
-    else:
-        header = ["round", "accuracy", "brier", "ece"]
-        rows = logistic_metric_rows(cfg, spec, records, test_x, test_y)
-        charted = header[1:]
-    curves = {name: ([r[0] for r in rows], [r[i + 1] for r in rows]) for i, name in enumerate(charted)}
-    return header, rows, curves
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +259,15 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     )
 
     summary_pairs = [("model", cfg.model), ("rounds", records.shape[1] - 1)]
-    header, rows, curves = metric_curves(cfg, spec, records, test_x, test_y)
-    write_csv(outdir / "run_metrics.csv", header, iter(rows))
-    series = [(name, *curve) for name, curve in curves.items()]
+    table = metric_table(cfg, spec, records, test_x, test_y)
+    write_csv(outdir / "run_metrics.csv", list(table), list(table.values()))
+    series = charted(cfg, table)
     if cfg.model == "gaussian":
         svg = line_chart(series, "sampling error by communication round", "communication round", "W2", log_y=True)
-        tail = max(1, len(rows) // 4)
-        summary_pairs.append(("plateau_w2", float(np.mean([r[1] for r in rows[-tail:]]))))
+        tail = max(1, len(table["w2"]) // 4)
+        summary_pairs.append(("plateau_w2", float(np.mean(table["w2"][-tail:]))))
         if cfg.target_eps is not None:
-            t_round, t_iter = t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)
+            t_round, t_iter = t_eps(table, cfg.target_eps, run_cfg.local_steps)
             summary_pairs += [("t_eps_rounds", t_round), ("t_eps_iterations", t_iter)]
     else:
         svg = line_chart(series, "predictive metrics by communication round", "communication round", "value")
@@ -301,10 +290,8 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("sweep command requires a sweep axis")
     require(cfg, "replications")
     spec, test_x, test_y = build_model(cfg)
-    long_rows = []
-    t_eps_rows = []
+    long_rows, t_eps_rows, curves = [], [], {}
     with_t_eps = cfg.model == "gaussian" and cfg.target_eps is not None
-    curves: dict = {}
     points = list(_sweep_points(cfg, spec))
     # one lockstep batch and one process pool for every value; a diverging value stops alone
     outcomes = engine.run_sweep([p[2] for p in points], [p[1] for p in points], cfg.replications, _workers())
@@ -315,13 +302,13 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
             if with_t_eps:
                 t_eps_rows.append((label, math.inf, math.inf))
             continue
-        _, rows, point_curves = metric_curves(cfg, point_spec, records, test_x, test_y)
-        for i, row in enumerate(rows):
-            long_rows += [(label, row[0], name, values[i]) for name, (_, values) in point_curves.items()]
-        for name, curve in point_curves.items():
-            curves.setdefault(name, []).append((label, *curve))
+        table = metric_table(cfg, point_spec, records, test_x, test_y)
+        series = charted(cfg, table)
+        long_rows += [(label, r, name, values[i]) for i, r in enumerate(table["round"]) for name, _, values in series]
+        for name, rounds, values in series:
+            curves.setdefault(name, []).append((label, rounds, values))
         if with_t_eps:
-            t_eps_rows.append((label, *t_eps_of_rows(rows, cfg.target_eps, run_cfg.local_steps)))
+            t_eps_rows.append((label, *t_eps(table, cfg.target_eps, run_cfg.local_steps)))
 
     write_csv(outdir / "sweep.csv", ["sweep_value", "round", "metric", "value"], iter(long_rows))
     for name, series in curves.items():
@@ -470,7 +457,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(args.config)
         outdir = Path(args.outdir if args.outdir is not None else cfg.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {outdir}: {err.strerror}") from None
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

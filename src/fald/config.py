@@ -184,8 +184,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
+    return parse_config(text)
 
 
 def sweep_point(cfg: ExperimentConfig, value) -> ExperimentConfig:

@@ -156,27 +156,3 @@ def classification_metrics(probs, labels, ece_bins: int = 10) -> ClassificationM
         ece += (n_b / n) * abs(float(confidence[mask].mean()) - float(correct[mask].mean()))
     return ClassificationMetrics(accuracy=accuracy, brier=brier, ece=float(ece))
 
-
-class RunningPredictiveAverage:
-    """Running arithmetic mean over collected per-sample probability matrices."""
-
-    def __init__(self):
-        self._sum = None
-        self._count = 0
-
-    def add(self, probs: np.ndarray) -> None:
-        probs = np.asarray(probs, dtype=np.float64)
-        if self._sum is None:
-            self._sum = probs.copy()
-        else:
-            if probs.shape != self._sum.shape:
-                raise MetricsError(
-                    f"probability matrix shape drifted: {probs.shape} vs {self._sum.shape}"
-                )
-            self._sum += probs
-        self._count += 1
-
-    def mean(self) -> np.ndarray:
-        if self._count == 0:
-            raise MetricsError("no probability matrices collected")
-        return self._sum / self._count

@@ -86,6 +86,8 @@ class FederatedDataset:
         object.__setattr__(self, "clients", clients)
         if self.labels is not None:
             labels = tuple(np.asarray(l, dtype=np.int64) for l in self.labels)
+            if len(labels) != len(clients):
+                raise ModelError(f"{len(labels)} label arrays for {len(clients)} clients")
             for i, (a, l) in enumerate(zip(clients, labels)):
                 if l.shape != (a.shape[0],):
                     raise ModelError(f"client {i}: labels do not match point count")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fald import cli, config, model as model_mod, privacy, theory
+from fald import cli, config, metrics, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
 from fald.engine import FixedStep, FullDevice, SchemeI, SchemeII, run_block
 from tests_support_golden import BLAS_THREAD_VARS, GOLDEN_CONFIGS
@@ -378,6 +378,22 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli(["run", path, "--outdir", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "outdir-under-a-file"])
+def test_unreadable_config_or_outdir_exits_2(case, tmp_path, capsys):
+    path, outdir = write_config(tmp_path, RUN_GAUSSIAN), tmp_path / "out"
+    if case == "missing":
+        path = tmp_path / "absent.cfg"
+    elif case == "directory":
+        path = tmp_path
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + RUN_GAUSSIAN.encode())
+    else:
+        outdir = path / "out"
+    assert run_cli(["run", path, "--outdir", outdir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(outdir if case == "outdir-under-a-file" else path) in err
+
+
 def test_divergent_run_exit_code(tmp_path):
     text = RUN_GAUSSIAN.replace("eta = 0.0005", "eta = 50.0")
     path = write_config(tmp_path, text)
@@ -573,6 +589,34 @@ def test_logistic_sweep_writes_no_t_eps_table(text, truncated, tmp_path):
     assert not (tmp_path / "sweep_t_eps.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [RUN_GAUSSIAN + "target_eps = 0.48\nsweep = rho\nsweep_values = 0, 0.5\n", GOLDEN_CONFIGS["sweep-logistic-rho"]],
+    ids=["gaussian", "logistic"],
+)
+def test_sweep_rows_equal_the_runs_of_its_values(text, tmp_path):
+    # sweep.csv holds each value's charted run_metrics.csv columns, and sweep_t_eps.csv its summary's T_eps
+    path = write_config(tmp_path, text)
+    assert run_cli(["sweep", path, "--outdir", tmp_path / "sweep"]) == 0
+    sweep_rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    t_eps_csv = tmp_path / "sweep" / "sweep_t_eps.csv"
+    t_eps_rows = t_eps_csv.read_text().splitlines()[1:] if t_eps_csv.exists() else []
+    cfg = parse_config(text)
+    base = "".join(line for line in text.splitlines(True) if not line.startswith(("rho =", "sweep")))
+    for value in cfg.sweep_values:
+        label = config.sweep_label(cfg, value)
+        path = write_config(tmp_path, base + f"rho = {label}\n", f"rho-{label}.cfg")
+        assert run_cli(["run", path, "--outdir", tmp_path / label]) == 0
+        header, *rows = [line.split(",") for line in (tmp_path / label / "run_metrics.csv").read_text().splitlines()]
+        charted = header[1:2] if cfg.model == "gaussian" else header[1:]
+        expected = [f"{label},{row[0]},{name},{row[header.index(name)]}" for row in rows for name in charted]
+        assert [row for row in sweep_rows if row.startswith(label + ",")] == expected
+        summary = dict(line.split(" = ") for line in (tmp_path / label / "summary.txt").read_text().splitlines())
+        if cfg.target_eps is not None:
+            assert f"{label},{summary['t_eps_rounds']},{summary['t_eps_iterations']}" in t_eps_rows
+    assert len(t_eps_rows) == (len(cfg.sweep_values) if cfg.target_eps is not None else 0)
+
+
 def test_bounds_decaying_schedule(tmp_path):
     text = RUN_GAUSSIAN.replace("eta = 0.0005", "schedule = decaying")
     path = write_config(tmp_path, text)
@@ -620,6 +664,32 @@ n_test = 50
     for row in rows[1:]:
         acc, brier, ece = map(float, row[1:])
         assert 0 <= acc <= 1 and 0 <= brier <= 2 and 0 <= ece <= 1
+
+
+def test_logistic_metrics_score_the_mean_of_the_samples_collected_so_far():
+    cfg = parse_config(GOLDEN_CONFIGS["logistic-full-q1"].replace("warmup_rounds = 0", "warmup_rounds = 1"))
+    spec, test_x, test_y = cli.build_model(cfg)
+    records = np.random.default_rng(4).standard_normal((cfg.replications, cfg.horizon // cfg.k_local + 1, spec.dim))
+    table = cli.logistic_metric_rows(cfg, spec, records, test_x, test_y)
+    assert list(table) == ["round", "accuracy", "brier", "ece"] and table["round"] == [3, 5, 7, 9, 11]
+    collected = []
+    for i, r in enumerate(table["round"]):
+        collected += [model_mod.predict_proba(spec, theta, test_x) for theta in records[:, r]]
+        total = collected[0]
+        for probs in collected[1:]:
+            total = total + probs
+        scored = metrics.classification_metrics(total / len(collected), test_y, cfg.ece_bins)
+        assert [table[name][i] for name in ("accuracy", "brier", "ece")] == [scored.accuracy, scored.brier, scored.ece]
+
+
+def test_horizon_before_the_first_collection_round_exits_2(tmp_path, capsys):
+    # 12 rounds, and the first sample would be collected at round 12 + 2
+    path = write_config(tmp_path, GOLDEN_CONFIGS["logistic-full-q1"].replace("warmup_rounds = 0", "warmup_rounds = 12"))
+    assert run_cli(["run", path, "--outdir", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: horizon ends before the first sample-collection round "
+        "(warmup_rounds + collect_every = 14 rounds)\n"
+    )
 
 
 def test_console_script_entry_point(tmp_path):

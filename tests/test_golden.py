@@ -30,6 +30,11 @@ def test_golden_digests(name, tmp_path, monkeypatch):
         )
 
 
+def test_every_pinned_name_is_a_golden_config():
+    # test_golden_digests looks only at GOLDEN_CONFIGS, so a pin left by a removed config would go unchecked
+    assert sorted(load_pins()["digests"]) == sorted(GOLDEN_CONFIGS)
+
+
 def fald_process(argv: list) -> int:
     """``python -m fald.cli argv`` in a fresh interpreter that sets its own BLAS thread count."""
     env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fald.metrics import (
     GaussianSummary,
     MetricsError,
-    RunningPredictiveAverage,
     classification_metrics,
     empirical_summary,
     sym_sqrt,
@@ -237,40 +236,3 @@ def test_brier_bounded_for_any_simplex_input(seed):
     scored = classification_metrics(*random_predictions(np.random.default_rng(seed), 50, 3))
     assert scored.brier <= 2.0 and scored.ece <= 1.0
 
-
-# ---------------------------------------------------------------------------
-# predictive averaging
-
-
-def test_single_sample_average_is_itself():
-    probs = np.array([[0.2, 0.8], [0.6, 0.4]])
-    acc = RunningPredictiveAverage()
-    acc.add(probs)
-    assert np.allclose(acc.mean(), probs)
-
-
-def test_two_sample_average():
-    acc = RunningPredictiveAverage()
-    acc.add(np.array([[0.2, 0.8]]))
-    acc.add(np.array([[0.6, 0.4]]))
-    assert np.allclose(acc.mean(), [[0.4, 0.6]])
-
-
-def test_running_mean_matches_batch_mean():
-    rng = np.random.default_rng(6)
-    mats = []
-    for _ in range(100):
-        p = rng.random((20, 3))
-        p /= p.sum(axis=1, keepdims=True)
-        mats.append(p)
-    acc = RunningPredictiveAverage()
-    for m in mats:
-        acc.add(m)
-    assert np.max(np.abs(acc.mean() - np.mean(mats, axis=0))) < 1e-12
-
-
-def test_shape_drift_rejected():
-    acc = RunningPredictiveAverage()
-    acc.add(np.full((2, 2), 0.5))
-    with pytest.raises(MetricsError, match="drift"):
-        acc.add(np.full((3, 2), 0.5))

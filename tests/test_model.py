@@ -86,6 +86,19 @@ def test_empty_client_rejected():
         FederatedDataset([np.zeros((0, 2)), np.zeros((2, 2))])
 
 
+@pytest.mark.parametrize(
+    "clients, labels",
+    [
+        ([np.zeros((2, 1)), np.zeros((3, 1))], [np.zeros(2, dtype=int)]),  # fewer label arrays
+        ([np.zeros((2, 1))], [np.zeros(2, dtype=int), np.zeros(7, dtype=int)]),  # more label arrays
+    ],
+    ids=["short", "long"],
+)
+def test_one_label_array_per_client(clients, labels):
+    with pytest.raises(ModelError, match=f"^{len(labels)} label arrays for {len(clients)} clients$"):
+        FederatedDataset(clients, labels)
+
+
 def test_dataset_csv_roundtrip(tmp_path):
     spec = make_spec()
     path = tmp_path / "data.csv"
