@@ -276,6 +276,11 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
         _fail(lines, "scheme", "scheme2 requires balanced clients (equal point counts per client)")
     if cfg.horizon is not None and cfg.horizon % cfg.k_local != 0:
         _fail(lines, "horizon", "horizon must be a multiple of k_local")
+    first_sample = cfg.warmup_rounds + cfg.collect_every
+    if cfg.model == "logistic" and cfg.horizon is not None and first_sample > cfg.horizon // cfg.k_local:
+        key = "warmup_rounds" if "warmup_rounds" in lines else "horizon"
+        _fail(lines, key, "horizon ends before the first sample-collection round "
+              f"(warmup_rounds + collect_every = {first_sample} rounds)")
     if cfg.sweep == "eta" and cfg.schedule == "decaying":
         _fail(lines, "sweep", "an eta sweep needs schedule = fixed (the decaying schedule ignores eta)")
     if cfg.init is not None and len(cfg.init) != (

@@ -82,8 +82,19 @@ class DpBudget:
             raise PrivacyError("epsilon must be >= 0 and delta in [0, 1]")
 
 
-def _clamp_delta(delta: float) -> Tuple[float, bool]:
-    return (1.0, True) if delta > 1.0 else (delta, False)
+def _budget(epsilon: float, delta: float) -> DpBudget:
+    """The budget, with delta > 1 clamped to 1 and flagged."""
+    return DpBudget(epsilon, min(delta, 1.0), delta > 1.0)
+
+
+def _advanced(eps: float, k: int, delta: float, middle: float) -> float:
+    """Advanced composition of k eps-DP steps (Dwork, Rothblum & Vadhan, FOCS 2010).
+
+    eps min(sqrt(2 k ln(1/delta)) + middle, k); delta = 0 selects the linear bound k eps.
+    """
+    if delta <= 0:
+        return eps * k
+    return eps * min(math.sqrt(2.0 * k * math.log(1.0 / delta)) + middle, k)
 
 
 def eta_max_dp(params: DpParams) -> float:
@@ -117,13 +128,7 @@ def compose_local(epsilon1: float, K: int, q: float, delta0: float, delta1: floa
     """
     if K < 1:
         raise PrivacyError("K must be >= 1")
-    if delta1 > 0:
-        advanced = math.sqrt(2.0 * K * math.log(1.0 / delta1)) + K * math.expm1(epsilon1)
-    else:
-        advanced = math.inf
-    eps_k = epsilon1 * min(advanced, float(K))
-    delta, clamped = _clamp_delta(K * q * delta0 + delta1)
-    return DpBudget(eps_k, delta, clamped)
+    return _budget(_advanced(epsilon1, K, delta1, K * math.expm1(epsilon1)), K * q * delta0 + delta1)
 
 
 def _delta_k_s(eps_k: float, s: int, delta_k_s_0: float) -> float:
@@ -157,28 +162,19 @@ def amplify_scheme(
     else:
         eps_t = math.log1p((S / N) * math.expm1(eps_k))
         delta_t = (S / N) * (K * q * delta0 + delta1)
-    delta_t, clamped = _clamp_delta(delta_t)
-    return DpBudget(eps_t, delta_t, clamped)
+    return _budget(eps_t, delta_t)
 
 
 def compose_rounds(eps_tilde: float, delta_tilde: float, rounds: int, delta2: float) -> DpBudget:
     """T/K-fold composition across rounds (generic form).
 
-    eps = min(sqrt(2 rounds ln(1/delta2)) eps~ + rounds eps~ (e^{eps~} - 1),
-              rounds eps~); delta = rounds delta~ + delta2.
+    eps = eps~ min(sqrt(2 rounds ln(1/delta2)) + rounds (e^{eps~} - 1), rounds);
+    delta = rounds delta~ + delta2.  delta2 = 0 selects the linear branch.
     """
     if rounds < 1:
         raise PrivacyError("rounds must be >= 1")
-    if delta2 > 0:
-        advanced = (
-            math.sqrt(2.0 * rounds * math.log(1.0 / delta2)) * eps_tilde
-            + rounds * eps_tilde * math.expm1(eps_tilde)
-        )
-    else:
-        advanced = math.inf
-    eps = min(advanced, rounds * eps_tilde)
-    delta, clamped = _clamp_delta(rounds * delta_tilde + delta2)
-    return DpBudget(eps, delta, clamped)
+    eps = _advanced(eps_tilde, rounds, delta2, rounds * math.expm1(eps_tilde))
+    return _budget(eps, rounds * delta_tilde + delta2)
 
 
 def compose_rounds_scheme2(
@@ -186,36 +182,23 @@ def compose_rounds_scheme2(
 ) -> DpBudget:
     """Scheme II specialization: the middle term uses (T S / (K N)) (e^{eps_K} - 1)."""
     rounds = T // K
-    if delta2 > 0:
-        advanced = eps_tilde * (
-            math.sqrt(2.0 * rounds * math.log(1.0 / delta2)) + (T * S) / (K * N) * math.expm1(eps_k)
-        )
-    else:
-        advanced = math.inf
-    eps = min(advanced, rounds * eps_tilde)
-    delta, clamped = _clamp_delta(rounds * delta_tilde + delta2)
-    return DpBudget(eps, delta, clamped)
+    eps = _advanced(eps_tilde, rounds, delta2, (T * S) / (K * N) * math.expm1(eps_k))
+    return _budget(eps, rounds * delta_tilde + delta2)
 
 
-def _chain(params: DpParams):
-    """Per-step -> K-fold local -> device sampling -> rounds; full device is scheme II at S = N."""
+def account(params: DpParams) -> DpBudget:
+    """End-to-end budget: per-step -> K-fold local -> device sampling -> rounds."""
+    report = account_report(params)
+    return DpBudget(report["epsilon_total"], report["delta_total"], report["delta_clamped"])
+
+
+def account_report(params: DpParams) -> dict:
+    """Every intermediate of the accounting chain, for auditable reports; full device is scheme II at S = N."""
     eps1 = epsilon_one(params)
     local = compose_local(eps1, params.K, params.q, params.delta0, params.delta1)
     scheme = params.scheme if isinstance(params.scheme, (SchemeI, SchemeII)) else SchemeII(params.N)
     amplified = amplify_scheme(local.epsilon, scheme, params.N, params.K, params.q, params.delta0, params.delta1)
     total = compose_rounds(amplified.epsilon, amplified.delta, params.rounds, params.delta2)
-    clamped = local.clamped or amplified.clamped or total.clamped
-    return eps1, local, scheme, amplified, DpBudget(total.epsilon, total.delta, clamped)
-
-
-def account(params: DpParams) -> DpBudget:
-    """End-to-end budget: per-step -> K-fold local -> device sampling -> rounds."""
-    return _chain(params)[-1]
-
-
-def account_report(params: DpParams) -> dict:
-    """Every intermediate of the accounting chain, for auditable reports."""
-    eps1, local, scheme, amplified, total = _chain(params)
     report = {
         "eta_max_dp": eta_max_dp(params),
         "epsilon_1": eps1,
@@ -225,7 +208,7 @@ def account_report(params: DpParams) -> dict:
         "delta_tilde_K": amplified.delta,
         "epsilon_total": total.epsilon,
         "delta_total": total.delta,
-        "delta_clamped": total.clamped,
+        "delta_clamped": local.clamped or amplified.clamped or total.clamped,
     }
     if isinstance(scheme, SchemeII):
         spec = compose_rounds_scheme2(

@@ -52,6 +52,8 @@ class BoundInputs:
             raise TheoryError("min_pc must lie in (0, 1]")
         if min(x for x in (self.D, self.gamma_het, self.sigma_sg, self.tau) ) < 0:
             raise TheoryError("D, gamma_het, sigma_sg, tau must be nonnegative")
+        if isinstance(self.scheme, (SchemeI, SchemeII)) and not 1 <= self.scheme.s <= self.N:
+            raise TheoryError("need 1 <= S <= N")
 
     @property
     def kappa(self) -> float:
@@ -109,7 +111,12 @@ def _fixed_step_bound(inputs: BoundInputs, k: int, local: int) -> float:
 
 
 def bound_full_fixed(inputs: BoundInputs, k: int) -> float:
-    """Full-device fixed-step bound at iteration k, local term (K-1)^2; rho = 0 gives independent noise."""
+    """Full-device fixed-step bound at iteration k, local term (K-1)^2; rho = 0 gives independent noise.
+
+    Scheme I and II raise: `bound_partial` is their bound.
+    """
+    if not isinstance(inputs.scheme, FullDevice):
+        raise TheoryError("the full-device bound holds for full device participation only; use bound_partial")
     return _fixed_step_bound(inputs, k, (inputs.K - 1) ** 2)
 
 
@@ -151,8 +158,6 @@ def bound_partial(inputs: BoundInputs, k: int) -> float:
     if not isinstance(inputs.scheme, (SchemeI, SchemeII)):
         raise TheoryError("bound_partial requires scheme I or II")
     S = inputs.scheme.s
-    if S > inputs.N:
-        raise TheoryError("S cannot exceed N")
     full_device = _fixed_step_bound(inputs, k, inputs.K ** 2)
     rho2 = inputs.rho ** 2
     bias = 2.0 * np.sqrt(

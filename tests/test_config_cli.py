@@ -128,8 +128,15 @@ def test_horizon_must_cover_swept_k():
             MINIMAL + "sweep = k_local\nsweep_values = 2, 4\nk_local = 3\nhorizon = 8\n",
             "line 9: horizon must be a multiple of k_local",
         ),
+        # one round at k_local = 24, and the first sample would be collected at round 10
+        (
+            MINIMAL + "model = logistic\nhorizon = 24\nsweep = k_local\nsweep_values = 2, 24\n",
+            "line 9: horizon ends before the first sample-collection round "
+            "(warmup_rounds + collect_every = 10 rounds) (offender: 24)",
+        ),
     ],
-    ids=["rho1.5", "eta0", "alpha-1", "k_local0-no-horizon", "scheme1:9", "scheme2-unbalanced", "base-k3-horizon8"],
+    ids=["rho1.5", "eta0", "alpha-1", "k_local0-no-horizon", "scheme1:9", "scheme2-unbalanced", "base-k3-horizon8",
+         "logistic-k24-one-round"],
 )
 def test_sweep_values_checked_like_the_base_config(text, message, tmp_path, capsys):
     path = write_config(tmp_path, text)
@@ -220,12 +227,14 @@ LOGISTIC_MINIMAL = "model = logistic\nn_clients = 2\npoints_per_client = 6\nseed
         (MINIMAL + "sigma = 1, 0.5, 0, 1\n", "line 6: sigma must be symmetric within 1e-12"),
         (MINIMAL + "eps_star = 5\n", "line 6: eps_star needs delta_star"),
         (MINIMAL + "delta_star = 1e-3\n", "line 6: delta_star needs eps_star"),
+        # warmup_rounds is unset, so the horizon carries the line
+        (LOGISTIC_MINIMAL + "horizon = 4\n", "line 5: horizon ends before the first sample-collection round"),
     ],
     ids=[
         "seed-1", "n_classes1", "n_features0", "n_test0", "tau-inf", "tau-nan", "seed2^64",
         "target_eps0", "target_eps-1", "delta_l0", "delta0-0", "delta0-1", "delta1-1", "delta2-neg",
         "eps_star0", "delta_star-neg", "sigma-indefinite", "sigma-asymmetric", "eps_star-alone",
-        "delta_star-alone",
+        "delta_star-alone", "logistic-horizon-before-collection",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "plan"])
@@ -685,11 +694,35 @@ def test_logistic_metrics_score_the_mean_of_the_samples_collected_so_far():
 def test_horizon_before_the_first_collection_round_exits_2(tmp_path, capsys):
     # 12 rounds, and the first sample would be collected at round 12 + 2
     path = write_config(tmp_path, GOLDEN_CONFIGS["logistic-full-q1"].replace("warmup_rounds = 0", "warmup_rounds = 12"))
-    assert run_cli(["run", path, "--outdir", tmp_path]) == 2
+    assert run_cli(["run", path, "--outdir", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
-        "config error: horizon ends before the first sample-collection round "
+        "config error: line 16: horizon ends before the first sample-collection round "
         "(warmup_rounds + collect_every = 14 rounds)\n"
     )
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "command, text, threads",
+    [
+        ("run", RUN_GAUSSIAN + "tau = nan\n", "1"),
+        ("run", RUN_GAUSSIAN.replace("eta = 0.0005\n", ""), "1"),
+        ("run", RUN_GAUSSIAN.replace("replications = 4\n", ""), "1"),
+        ("run", RUN_GAUSSIAN, "-3"),
+        ("sweep", RUN_GAUSSIAN, "1"),
+        ("plan", RUN_GAUSSIAN, "1"),
+        ("privacy", RUN_GAUSSIAN + "delta_l = 1\nschedule = decaying\n", "1"),
+        ("privacy", RUN_GAUSSIAN + "delta_l = 1\nrho = 1\n", "1"),
+    ],
+    ids=["nan", "no-eta", "no-replications", "threads-3", "no-sweep-axis", "no-target", "privacy-decaying",
+         "privacy-rho1"],
+)
+def test_config_errors_leave_the_outdir_empty(command, text, threads, tmp_path, monkeypatch):
+    # eta above eta_max_dp is the one config error that writes a file: privacy_report.txt states the limit
+    monkeypatch.setenv("FALD_THREADS", threads)
+    path = write_config(tmp_path, text)
+    assert run_cli([command, path, "--outdir", tmp_path / "out"]) == 2
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 def test_console_script_entry_point(tmp_path):

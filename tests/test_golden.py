@@ -16,6 +16,13 @@ from tests_support_golden import (
 )
 
 
+def describe(facts: dict) -> str:
+    return (
+        f"numpy {facts['numpy']} (X86_V4 kernels {'on' if facts['numpy_x86_v4'] else 'off'}) "
+        f"and OpenBLAS core {facts['openblas_core']} on {facts['machine']}"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.setenv("FALD_THREADS", "1")
@@ -25,9 +32,15 @@ def test_golden_digests(name, tmp_path, monkeypatch):
     assert set(got) == set(pins["digests"][name])
     for file, digest in got.items():
         assert digest == pins["digests"][name][file], (
-            f"{name}: {file} changed; pinned with numpy {pins['numpy']} on {pins['machine']}, "
-            f"running numpy {here['numpy']} on {here['machine']}"
+            f"{name}: {file} changed; pinned with {describe(pins)}, running {describe(here)}"
         )
+
+
+def test_pins_record_every_platform_fact():
+    # a mismatch message names the pinned value of each fact next to the running one
+    pins = load_pins()
+    assert set(platform_facts()) <= set(pins)
+    describe(pins)
 
 
 def test_every_pinned_name_is_a_golden_config():

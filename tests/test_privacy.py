@@ -173,6 +173,41 @@ def test_delta_chain_identity_scheme2():
 
 
 # ---------------------------------------------------------------------------
+# the three composition forms against 50-digit arithmetic
+
+# form -> (its epsilon at (eps, k, delta), its exact middle term); q, delta0 and delta_tilde
+# set only the delta side, and the scheme II form runs S = 2 of N = 7 with K = 3 and eps_K = 1.5 eps
+COMPOSITION_FORMS = {
+    "local": (lambda eps, k, delta: compose_local(eps, k, 0.1, 1e-6, delta), lambda eps, k: k * mp.expm1(eps)),
+    "rounds": (lambda eps, k, delta: compose_rounds(eps, 1e-9, k, delta), lambda eps, k: k * mp.expm1(eps)),
+    "scheme2": (
+        lambda eps, k, delta: compose_rounds_scheme2(eps, 1.5 * eps, 2, 7, 3 * k, 3, 1e-9, delta),
+        lambda eps, k: mp.mpf(3 * k * 2) / (3 * 7) * mp.expm1(1.5 * eps),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(COMPOSITION_FORMS))
+def test_each_composition_form_is_within_4_ulp_of_50_digit_arithmetic(form):
+    composed, middle = COMPOSITION_FORMS[form]
+    branches = set()
+    with mp.workdps(50):
+        for eps in (1e-9, 1e-4, 0.05, 0.7, 3.0):
+            for k in (1, 7, 100, 1000):
+                for delta in (0.0, 1e-12, 1e-6, 0.3):
+                    if delta == 0:
+                        branch, factor = "linear", mp.mpf(k)
+                    else:
+                        advanced = mp.sqrt(2 * k * mp.log(1 / mp.mpf(delta))) + middle(eps, k)
+                        branch, factor = ("advanced", advanced) if advanced < k else ("count", mp.mpf(k))
+                    branches.add(branch)
+                    expected = mp.mpf(eps) * factor
+                    got = composed(eps, k, delta).epsilon
+                    assert abs(got - expected) <= 4 * math.ulp(float(expected)), (form, eps, k, delta)
+    assert branches == {"linear", "advanced", "count"}  # delta = 0 and both sides of the min
+
+
+# ---------------------------------------------------------------------------
 # end-to-end account
 
 

@@ -231,6 +231,18 @@ def test_partial_oversized_s_rejected():
         bound_partial(BoundInputs(**DESK, scheme=SchemeI(11)), 0)
 
 
+@pytest.mark.parametrize("scheme", [SchemeI(0), SchemeII(-1), SchemeII(11)], ids=["I-0", "II-minus-1", "II-11"])
+def test_bound_inputs_need_1_le_s_le_n(scheme):
+    with pytest.raises(TheoryError, match=r"need 1 <= S <= N"):
+        BoundInputs(**DESK, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", [SchemeI(5), SchemeII(5)])
+def test_full_device_fixed_step_bound_rejects_partial_devices(scheme):
+    with pytest.raises(TheoryError, match="full device participation only"):
+        bound_full_fixed(BoundInputs(**DESK, scheme=scheme), 0)
+
+
 # ---------------------------------------------------------------------------
 # planning
 

@@ -7,10 +7,10 @@ value) and two `gen-data` datasets.  ``tests/test_golden.py`` runs each through 
 compares output bytes with ``golden_digests.json``.  Temperature 0.7 and
 rho 0.3 make any slip in how tau or rho reach the noise visible.
 
-The float64 log1p/sin/cos kernels behind the Box-Muller normals are
-SIMD-dispatched, so the pinned bits hold for the numpy version and machine
-recorded next to the digests.  Regenerate only when a change alters output
-bits on purpose:
+The float64 log1p/exp/log kernels are SIMD-dispatched and the small linear
+algebra runs through OpenBLAS, so the pinned bits hold per CPU class: for the
+numpy version, its X86_V4 dispatch, the OpenBLAS core and the machine recorded
+next to the digests.  Regenerate only when a change alters output bits on purpose:
 
     PYTHONPATH=src python tests/tests_support_golden.py --write
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -29,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 
@@ -142,8 +144,24 @@ def _configs() -> dict:
 GOLDEN_CONFIGS = _configs()
 
 
+def _openblas_core() -> str:
+    """The kernel set that numpy's bundled OpenBLAS dispatched, such as "SkylakeX", or "unknown"."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def platform_facts() -> dict:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    """What selects the pinned bits: numpy's version and SIMD dispatch, the OpenBLAS core and the machine."""
+    return {
+        "numpy": np.__version__,
+        "numpy_x86_v4": bool(__cpu_features__.get("X86_V4", False)),
+        "openblas_core": _openblas_core(),
+        "machine": platform.machine(),
+    }
 
 
 def in_process(argv: list) -> int:
