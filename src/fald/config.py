@@ -272,6 +272,8 @@ def _validate(cfg: ExperimentConfig, lines) -> None:
             _fail(lines, "scheme", f"{cfg.scheme} requires s_devices")
         if cfg.s_devices > cfg.n_clients:
             _fail(lines, "s_devices", "need s_devices <= n_clients")
+    elif cfg.s_devices is not None:
+        _fail(lines, "s_devices", "s_devices needs scheme = scheme1 or scheme2 (scheme = full uses every client)")
     if cfg.scheme == "scheme2" and len(set(counts)) != 1:
         _fail(lines, "scheme", "scheme2 requires balanced clients (equal point counts per client)")
     if cfg.horizon is not None and cfg.horizon % cfg.k_local != 0:

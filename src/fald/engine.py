@@ -200,39 +200,38 @@ def local_step(theta, grad_estimate, noise, eta, out=None) -> np.ndarray:
     return out
 
 
-def sample_devices(scheme: Scheme, weights: np.ndarray, keys) -> np.ndarray:
-    """Participating client indices at one synchronization, one row per stream key.
+def device_weights(scheme: Scheme, weights: np.ndarray, keys=None) -> np.ndarray:
+    """Each client's aggregation weight at one synchronization, one row per stream key.
 
-    Scheme I makes S categorical draws by weight (duplicates possible);
-    scheme II takes a uniform without-replacement subset, sorted.  Output
-    shape keys.shape + (S,).
+    Full device gives the client weights p_c (``keys`` may be None).  Scheme I
+    makes S categorical draws by p_c (duplicates possible) and scheme II takes
+    a uniform without-replacement S-subset; each draw adds 1/S, so a client
+    drawn twice weighs 2/S.  Output shape keys.shape + (N,).
     """
     n = len(weights)
+    if isinstance(scheme, FullDevice):
+        return np.broadcast_to(weights, np.shape(keys) + (n,))
     if isinstance(scheme, SchemeI):
         u = uniforms_for_keys(keys, scheme.s)
-        idx = np.searchsorted(np.cumsum(weights), u.ravel(), side="right")
-        return np.minimum(idx, n - 1).reshape(u.shape)
-    if isinstance(scheme, SchemeII):
-        if scheme.s > n:
-            raise EngineError("scheme II cannot select more devices than exist")
-        return np.sort(model_mod.subsample_indices(keys, n, scheme.s), axis=-1)
-    raise EngineError("sample_devices requires a partial scheme")
-
-
-def synchronize(betas: np.ndarray, weights: np.ndarray, scheme: Scheme, sampled=None) -> np.ndarray:
-    """Aggregate client states: sum_c p_c beta^c (full) or (1/S) sum over sampled.
-
-    ``betas`` is coordinate-major (d, ..., N), the result (d, ...), and
-    ``sampled`` the (..., S) output of `sample_devices`.  Clients are
-    accumulated in index order, each product added to the sum, so the result
-    does not depend on how the other axes are batched.
-    """
-    if isinstance(scheme, FullDevice):
-        w = np.broadcast_to(weights, betas.shape[1:])
+        drawn = np.minimum(np.searchsorted(np.cumsum(weights), u.ravel(), side="right"), n - 1).reshape(u.shape)
+    elif scheme.s > n:
+        raise EngineError("scheme II cannot select more devices than exist")
     else:
-        sampled = np.asarray(sampled)
-        w = np.zeros(betas.shape[1:])
-        np.add.at(w, (*np.indices(sampled.shape)[:-1], sampled), 1.0 / scheme.s)
+        drawn = model_mod.subsample_indices(keys, n, scheme.s)
+    w = np.zeros(drawn.shape[:-1] + (n,))
+    np.add.at(w, (*np.indices(drawn.shape)[:-1], drawn), 1.0 / scheme.s)
+    return w
+
+
+def synchronize(betas: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Aggregate client states: sum_c w_c beta^c.
+
+    ``betas`` is coordinate-major (d, ..., N), the result (d, ...), and ``w``
+    broadcasts against (..., N), such as the output of `device_weights`.
+    Clients are accumulated in index order, each product added to the sum,
+    so the result does not depend on how the other axes are batched.
+    """
+    w = np.broadcast_to(w, betas.shape[1:])
     out = w[..., 0] * betas[..., 0]
     term = np.empty_like(out)
     for c in range(1, betas.shape[-1]):
@@ -320,7 +319,7 @@ def _lockstep(cfgs, models, replications) -> list:
     grads = np.empty_like(thetas)  # the step writes here, then the two buffers swap
     outcomes = [np.empty((B, T // cfg.local_steps + 1, d)) for cfg in cfgs]
     for p in range(P):
-        outcomes[p][:, 0, :] = synchronize(thetas[:, p], weights, FullDevice()).T
+        outcomes[p][:, 0, :] = synchronize(thetas[:, p], weights).T
     live = list(range(P))  # the point of each row of the stack
     one_model = all(m is model for m in models)  # else (an alpha sweep) one gradient call per point
 
@@ -362,11 +361,9 @@ def _lockstep(cfgs, models, replications) -> list:
                 cfg = cfgs[p]
                 if (k + 1) % cfg.local_steps:
                     continue
-                partial = isinstance(cfg.scheme, (SchemeI, SchemeII))
-                if partial and dev_keys is None:
+                if dev_keys is None and cfg.scheme != FullDevice():
                     dev_keys = key_grid(seed, reps, [k + 1], [SHARED], _DEVICE_PURPOSE)[:, 0, 0]
-                sampled = sample_devices(cfg.scheme, weights, dev_keys) if partial else None
-                theta_bar = synchronize(thetas[:, i], weights, cfg.scheme, sampled)
+                theta_bar = synchronize(thetas[:, i], device_weights(cfg.scheme, weights, dev_keys))
                 thetas[:, i] = theta_bar[:, :, None]
                 outcomes[p][:, (k + 1) // cfg.local_steps, :] = theta_bar.T
 

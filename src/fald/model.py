@@ -4,7 +4,7 @@ Two energy families are provided.  The Gaussian-location model has the
 closed-form posterior used to measure sampling error, and the
 ridge-regularized softmax regression model exercises the classification
 metric pipeline on synthetic data.  Both expose per-client exact and
-subsampled gradient oracles plus the smoothness / strong-convexity /
+minibatch gradient oracles plus the smoothness / strong-convexity /
 heterogeneity constants that feed the bound calculators.
 """
 
@@ -301,7 +301,8 @@ def _sample_labels(x: np.ndarray, weights: np.ndarray, seed: int, client, purpos
     """
     u = uniforms_for_keys(key_grid(seed, range(x.shape[1]), [0], [client], purpose)[:, 0, 0], 1)[:, 0]
     probs = softmax(apply_matrix(x, weights), axis=0)
-    return (probs.cumsum(axis=0) < u).sum(axis=0)
+    # the rounded CDF can end below u, which then takes the last class
+    return np.minimum((probs.cumsum(axis=0) < u).sum(axis=0), weights.shape[1] - 1)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -87,11 +87,14 @@ def _budget(epsilon: float, delta: float) -> DpBudget:
     return DpBudget(epsilon, min(delta, 1.0), delta > 1.0)
 
 
-def _advanced(eps: float, k: int, delta: float, middle: float) -> float:
+def _advanced(eps: float, k: int, delta: float, middle: float, count: str) -> float:
     """Advanced composition of k eps-DP steps (Dwork, Rothblum & Vadhan, FOCS 2010).
 
     eps min(sqrt(2 k ln(1/delta)) + middle, k); delta = 0 selects the linear bound k eps.
+    A count k < 1 raises, naming k as ``count``.
     """
+    if k < 1:
+        raise PrivacyError(f"{count} must be >= 1")
     if delta <= 0:
         return eps * k
     return eps * min(math.sqrt(2.0 * k * math.log(1.0 / delta)) + middle, k)
@@ -126,9 +129,7 @@ def compose_local(epsilon1: float, K: int, q: float, delta0: float, delta1: floa
     epsilon_K = epsilon1 min(sqrt(2 K ln(1/delta1)) + K (e^{epsilon1} - 1), K);
     delta_K = K q delta0 + delta1.  delta1 = 0 selects the linear branch.
     """
-    if K < 1:
-        raise PrivacyError("K must be >= 1")
-    return _budget(_advanced(epsilon1, K, delta1, K * math.expm1(epsilon1)), K * q * delta0 + delta1)
+    return _budget(_advanced(epsilon1, K, delta1, K * math.expm1(epsilon1), "K"), K * q * delta0 + delta1)
 
 
 def _delta_k_s(eps_k: float, s: int, delta_k_s_0: float) -> float:
@@ -171,9 +172,7 @@ def compose_rounds(eps_tilde: float, delta_tilde: float, rounds: int, delta2: fl
     eps = eps~ min(sqrt(2 rounds ln(1/delta2)) + rounds (e^{eps~} - 1), rounds);
     delta = rounds delta~ + delta2.  delta2 = 0 selects the linear branch.
     """
-    if rounds < 1:
-        raise PrivacyError("rounds must be >= 1")
-    eps = _advanced(eps_tilde, rounds, delta2, rounds * math.expm1(eps_tilde))
+    eps = _advanced(eps_tilde, rounds, delta2, rounds * math.expm1(eps_tilde), "rounds")
     return _budget(eps, rounds * delta_tilde + delta2)
 
 
@@ -182,7 +181,7 @@ def compose_rounds_scheme2(
 ) -> DpBudget:
     """Scheme II specialization: the middle term uses (T S / (K N)) (e^{eps_K} - 1)."""
     rounds = T // K
-    eps = _advanced(eps_tilde, rounds, delta2, (T * S) / (K * N) * math.expm1(eps_k))
+    eps = _advanced(eps_tilde, rounds, delta2, (T * S) / (K * N) * math.expm1(eps_k), "rounds")
     return _budget(eps, rounds * delta_tilde + delta2)
 
 

@@ -25,7 +25,7 @@ import pytest
 
 import fald
 from fald import cli, metrics, privacy, theory
-from fald.engine import FixedStep, FullDevice, RunConfig, SchemeI, SchemeII, run_replicated
+from fald.engine import FixedStep, FullDevice, RunConfig, SchemeI, SchemeII, run_replicated, run_sweep
 from fald.model import constants, gen_gaussian_federation, target_posterior
 from fald.privacy import DpParams, account, epsilon_one
 
@@ -103,8 +103,8 @@ def spec_c1():
                                    REF_SIGMA, C1["seed"], tau=C1["tau"])
 
 
-def run_c1(spec, eta, R=None, rounds=None, scheme=None, alpha_spec=None):
-    cfg = RunConfig(
+def c1_cfg(eta, rounds=None, scheme=None):
+    return RunConfig(
         local_steps=C1["K"],
         rho=0.0,
         schedule=FixedStep(eta),
@@ -112,7 +112,19 @@ def run_c1(spec, eta, R=None, rounds=None, scheme=None, alpha_spec=None):
         horizon=(rounds or C1["rounds"]) * C1["K"],
         master_seed=C1["seed"],
     )
-    return run_replicated(cfg, spec, R or C1["R"], workers=0)
+
+
+def run_c1(spec, eta, R=None, rounds=None, scheme=None):
+    return run_replicated(c1_cfg(eta, rounds, scheme), spec, R or C1["R"], workers=0)
+
+
+def sweep_c1(spec, points, R, rounds=None):
+    """Records of the (eta, scheme) points as one lockstep sweep; each equals its `run_c1` records."""
+    outcomes = run_sweep([c1_cfg(eta, rounds, scheme) for eta, scheme in points], [spec] * len(points), R, workers=0)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 @pytest.fixture(scope="module")
@@ -178,13 +190,12 @@ def test_criterion_03_bias_monotone_in_eta(spec_c1, c1_result):
 
     target = target_posterior(spec_c1)
 
-    def pooled_plateau(eta):
-        records = run_c1(spec_c1, eta, R=800)
+    def pooled_plateau(records):
         sample_rounds = np.arange(1000, 2001, 150)
         tail = records[:, sample_rounds, :].reshape(-1, records.shape[2])
         return metrics.w2_gaussian(metrics.empirical_summary(tail), target)
 
-    lo, hi = pooled_plateau(etas[0]), pooled_plateau(etas[2])
+    lo, hi = map(pooled_plateau, sweep_c1(spec_c1, [(etas[0], None), (etas[2], None)], R=800))
     ok = strict and lo < hi
     criterion(3, ok, f"exact plateaus {[f'{v:.2e}' for v in exact]} strictly increasing: {strict}; "
                      f"empirical pooled endpoints {lo:.2e} < {hi:.2e}: {lo < hi}")
@@ -199,15 +210,10 @@ def test_criterion_04_partial_device_persistent_bias(spec_iid):
     target = target_posterior(spec_iid)
     rounds = 1000
 
-    def plateau(scheme, eta):
-        records = run_c1(spec_iid, eta, R=100, rounds=rounds, scheme=scheme)
-        return tail_mean_plateau(w2_curve(records, target))
-
-    results = {}
-    for eta in (1e-4, 5e-5):
-        results[("full", eta)] = plateau(FullDevice(), eta)
-        results[("s1", eta)] = plateau(SchemeI(5), eta)
-        results[("s2", eta)] = plateau(SchemeII(5), eta)
+    schemes = {"full": FullDevice(), "s1": SchemeI(5), "s2": SchemeII(5)}
+    points = [(name, eta) for eta in (1e-4, 5e-5) for name in schemes]
+    runs = sweep_c1(spec_iid, [(eta, schemes[name]) for name, eta in points], R=100, rounds=rounds)
+    results = {point: tail_mean_plateau(w2_curve(records, target)) for point, records in zip(points, runs)}
 
     ratio1 = results[("s1", 1e-4)] / results[("full", 1e-4)]
     ratio2 = results[("s2", 1e-4)] / results[("full", 1e-4)]

@@ -229,12 +229,13 @@ LOGISTIC_MINIMAL = "model = logistic\nn_clients = 2\npoints_per_client = 6\nseed
         (MINIMAL + "delta_star = 1e-3\n", "line 6: delta_star needs eps_star"),
         # warmup_rounds is unset, so the horizon carries the line
         (LOGISTIC_MINIMAL + "horizon = 4\n", "line 5: horizon ends before the first sample-collection round"),
+        (MINIMAL + "s_devices = 2\n", "line 6: s_devices needs scheme = scheme1 or scheme2"),
     ],
     ids=[
         "seed-1", "n_classes1", "n_features0", "n_test0", "tau-inf", "tau-nan", "seed2^64",
         "target_eps0", "target_eps-1", "delta_l0", "delta0-0", "delta0-1", "delta1-1", "delta2-neg",
         "eps_star0", "delta_star-neg", "sigma-indefinite", "sigma-asymmetric", "eps_star-alone",
-        "delta_star-alone", "logistic-horizon-before-collection",
+        "delta_star-alone", "logistic-horizon-before-collection", "s_devices-full",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "plan"])

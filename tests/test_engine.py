@@ -13,12 +13,12 @@ from fald.engine import (
     RunConfig,
     SchemeI,
     SchemeII,
+    device_weights,
     injected_noise,
     local_step,
     run_block,
     run_replicated,
     run_sweep,
-    sample_devices,
     step_size,
     synchronize,
 )
@@ -137,7 +137,7 @@ def test_aggregate_noise_is_standard_gaussian(rho):
     eta, tau, draws = 1e-2, 1.0, 100_000
     shared, private = noise_normals(1, 0, range(draws), range(5), 1)
     noise = injected_noise(shared, private, eta, tau, rho, p)
-    agg = synchronize(noise, p, FullDevice())[0] / np.sqrt(2 * eta * tau)
+    agg = synchronize(noise, p)[0] / np.sqrt(2 * eta * tau)
     assert 0.98 <= agg.var() <= 1.02
     assert abs(agg.mean()) < 0.02
 
@@ -159,21 +159,55 @@ def test_local_step_arithmetic():
 
 def test_scheme2_full_subset():
     w = np.full(6, 1 / 6)
-    got = sample_devices(SchemeII(6), w, device_keys(0, 1))
-    assert got.tolist() == [list(range(6))]
+    got = device_weights(SchemeII(6), w, device_keys(0, 1))
+    assert got.shape == (1, 6) and np.all(got == 1 / 6)
 
 
 def test_scheme1_degenerate_weights():
     w = np.array([1.0, 0.0, 0.0])
-    got = sample_devices(SchemeI(10), w, device_keys(0, 2))
-    assert got.shape == (2, 10) and np.all(got == 0)
+    got = device_weights(SchemeI(10), w, device_keys(0, 2))
+    assert got.shape == (2, 3) and np.allclose(got[:, 0], 1.0) and np.all(got[:, 1:] == 0)
+
+
+def test_full_device_weights_are_client_weights():
+    w = np.array([0.5, 0.3, 0.2])
+    assert np.array_equal(device_weights(FullDevice(), w), w)
+    assert np.array_equal(device_weights(FullDevice(), w, device_keys(0, 4)), np.tile(w, (4, 1)))
+
+
+def test_scheme2_weights_s_distinct_clients():
+    n, s, rounds = 7, 3, 500
+    got = device_weights(SchemeII(s), np.full(n, 1 / n), device_keys(1, rounds))
+    assert got.shape == (rounds, n)
+    assert np.all((got == 0) | (got == 1 / s))
+    assert np.all(np.count_nonzero(got, axis=1) == s)
+
+
+def test_scheme1_client_drawn_twice_weighs_two_over_s():
+    n, s, rounds = 4, 3, 200
+    got = device_weights(SchemeI(s), np.full(n, 1 / n), device_keys(2, rounds))
+    counts = np.rint(got * s).astype(int)
+    assert np.allclose(got, counts / s) and np.all(counts.sum(axis=1) == s)
+    twice = np.argwhere(counts == 2)
+    assert len(twice) > 0
+    for r, c in twice:
+        assert got[r, c] == 2 / s
+
+
+@pytest.mark.parametrize("scheme", [FullDevice(), SchemeI(3), SchemeII(3)], ids=["full", "scheme1:3", "scheme2:3"])
+def test_device_weights_rows_sum_to_one(scheme):
+    rng = np.random.default_rng(4)
+    w = np.full(6, 1 / 6) if isinstance(scheme, SchemeII) else rng.random(6)
+    w /= w.sum()
+    got = device_weights(scheme, w, device_keys(3, 1000))
+    assert np.allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_scheme1_frequencies_within_binomial_band():
     n, s, rounds = 8, 3, 100_000
     w = np.full(n, 1 / n)
-    got = sample_devices(SchemeI(s), w, device_keys(3, rounds))
-    counts = np.bincount(got.ravel(), minlength=n)
+    got = device_weights(SchemeI(s), w, device_keys(3, rounds))
+    counts = np.rint(got * s).sum(axis=0)
     expected = rounds * s / n
     sd = np.sqrt(rounds * s * (1 / n) * (1 - 1 / n))
     assert np.all(np.abs(counts - expected) <= 3 * sd + 1e-9)
@@ -181,19 +215,19 @@ def test_scheme1_frequencies_within_binomial_band():
 
 def test_scheme2_oversampling_rejected():
     with pytest.raises(EngineError):
-        sample_devices(SchemeII(4), np.full(3, 1 / 3), device_keys(0, 1))
+        device_weights(SchemeII(4), np.full(3, 1 / 3), device_keys(0, 1))
 
 
 def test_synchronize_weighted_average():
     betas = np.array([[1.0, 3.0]])  # (d, N)
-    assert synchronize(betas, np.array([0.5, 0.5]), FullDevice())[0] == pytest.approx(2.0)
+    assert synchronize(betas, np.array([0.5, 0.5]))[0] == pytest.approx(2.0)
 
 
 def test_scheme2_all_devices_equals_full_average():
     spec = make_spec(n_clients=4, points=3)
     betas = np.random.default_rng(2).standard_normal((2, 4))
-    full = synchronize(betas, spec.data.weights, FullDevice())
-    part = synchronize(betas, spec.data.weights, SchemeII(4), sampled=np.arange(4))
+    full = synchronize(betas, device_weights(FullDevice(), spec.data.weights))
+    part = synchronize(betas, device_weights(SchemeII(4), spec.data.weights, device_keys(0, 1)[0]))
     assert np.array_equal(full, part)
 
 
@@ -205,8 +239,8 @@ def test_scheme1_resampling_unbiased():
     w /= w.sum()
     betas = rng.standard_normal(n)
     rounds = 100_000
-    got = sample_devices(SchemeI(s), w, device_keys(5, rounds))
-    samples = synchronize(np.broadcast_to(betas, (1, rounds, n)), w, SchemeI(s), sampled=got)[0]
+    got = device_weights(SchemeI(s), w, device_keys(5, rounds))
+    samples = synchronize(np.broadcast_to(betas, (1, rounds, n)), got)[0]
     expected = float(w @ betas)
     band = 4 * samples.std(ddof=1) / np.sqrt(rounds)
     assert abs(samples.mean() - expected) <= band
@@ -258,7 +292,7 @@ def test_minibatch_chain_matches_handrolled_stochastic_gradients(oracle):
             private = normals_for_keys(stream_key(6, 1, k, c, "noise"), spec.dim)
             noise = injected_noise(shared[:, None], private[:, None], 1e-3, 0.7, 0.3, p[c:c + 1])[:, 0]
             betas[c] = local_step(theta, grad, noise, 1e-3)
-        theta = synchronize(betas.T, p, FullDevice())
+        theta = synchronize(betas.T, p)
         hand.append(theta.copy())
     assert np.array_equal(np.array(hand), traj)
 
@@ -270,7 +304,7 @@ def test_k1_reduction_matches_direct_iterate():
     traj = one_chain(cfg, spec, 1)
     p = spec.data.weights
     thetas = np.zeros((4, 2))
-    hand = [synchronize(thetas.T, p, FullDevice())]
+    hand = [synchronize(thetas.T, p)]
     for k in range(50):
         betas = np.empty_like(thetas)
         shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
@@ -279,7 +313,7 @@ def test_k1_reduction_matches_direct_iterate():
             private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
             noise = injected_noise(shared[:, None], private[:, None], 5e-4, 1.0, 0.25, p[c:c + 1])[:, 0]
             betas[c] = local_step(thetas[c], grad, noise, 5e-4)
-        bar = synchronize(betas.T, p, FullDevice())
+        bar = synchronize(betas.T, p)
         thetas = np.broadcast_to(bar, (4, 2)).copy()
         hand.append(bar)
     assert np.array_equal(np.array(hand), traj)
@@ -293,7 +327,7 @@ def test_local_steps_chain_matches_handrolled(scheme):
     cfg = make_cfg(spec, local_steps=3, rho=0.3, horizon=12, master_seed=4, scheme=scheme)
     p = spec.data.weights
     thetas = np.zeros((4, 2))
-    hand = [synchronize(thetas.T, p, FullDevice())]
+    hand = [synchronize(thetas.T, p)]
     for k in range(12):
         shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
         for c in range(4):
@@ -302,10 +336,7 @@ def test_local_steps_chain_matches_handrolled(scheme):
             noise = injected_noise(shared[:, None], private[:, None], 1e-3, 1.0, 0.3, p[c:c + 1])[:, 0]
             thetas[c] = local_step(thetas[c], grad, noise, 1e-3)
         if (k + 1) % 3 == 0:
-            sampled = None
-            if not isinstance(scheme, FullDevice):
-                sampled = sample_devices(scheme, p, stream_key(4, 1, k + 1, SHARED, "devices"))
-            bar = synchronize(thetas.T, p, scheme, sampled)
+            bar = synchronize(thetas.T, device_weights(scheme, p, stream_key(4, 1, k + 1, SHARED, "devices")))
             thetas = np.broadcast_to(bar, (4, 2)).copy()
             hand.append(bar)
     assert np.array_equal(np.array(hand), one_chain(cfg, spec, 1))

@@ -178,7 +178,7 @@ def scalar_label(x, w, key):
     for v in e:
         cdf += v / total
         label += cdf < u
-    return label
+    return min(label, len(e) - 1)  # the rounded CDF may end below u
 
 
 def scalar_gaussian_federation(seed, alpha, counts, sigma):
@@ -227,6 +227,17 @@ def test_logistic_federation_matches_scalar_reference(seed):
     assert np.array_equal(test_x, ref_x) and np.array_equal(test_y, ref_y)
     # the labels are not constant, so the inverse CDF is exercised
     assert len(set(np.concatenate(spec.data.labels).tolist())) > 1
+
+
+def test_label_past_the_rounded_cdf_takes_the_last_class(monkeypatch):
+    # this point's softmax CDF ends at 0.9999999999999997, below the largest uniform 1 - 2**-53
+    logits = np.array([[1.236750784503191, -1.2186415869720821, -2.367362150759901]])  # (F = 1, C = 3)
+    x = np.ones((1, 1))
+    cdf = model_mod.softmax(model_mod.apply_matrix(x, logits), axis=0).cumsum(axis=0)[:, 0]
+    top = 1.0 - 2.0**-53
+    assert cdf[-1] < top
+    monkeypatch.setattr(model_mod, "uniforms_for_keys", lambda keys, n: np.full(np.shape(keys) + (n,), top))
+    assert model_mod._sample_labels(x, logits, 0, 0, "data_label").tolist() == [2]
 
 
 def test_client_points_do_not_depend_on_other_clients():

@@ -121,6 +121,12 @@ def test_amplify_scheme_rejects_full_device():
         amplify_scheme(0.5, FullDevice(), 10, 5, 0.2, 1e-6, 0.0)
 
 
+def test_scheme2_rounds_need_one_round():
+    # T = 1 < K = 3 leaves no communication round to compose
+    with pytest.raises(PrivacyError, match="rounds must be >= 1"):
+        compose_rounds_scheme2(0.5, 0.5, 2, 7, 1, 3, 1e-9, 1e-6)
+
+
 def test_scheme1_binomial_golden():
     N, S, eps_k, K, q, d0 = 10, 3, mp.mpf("0.5"), 10, mp.mpf("0.1"), mp.mpf("1e-6")
     eps_expected = mp.log(1 + (1 - (1 - mp.mpf(1) / N) ** S) * (mp.e ** eps_k - 1))
