@@ -16,20 +16,19 @@ from .engine import (
     SchemeII,
     run_replicated,
 )
-from .metrics import GaussianSummary, classification_metrics, empirical_summary, w2_gaussian
+from .metrics import GaussianSummary, classification_metrics, empirical_summary, w2_gaussian_parts
 from .model import (
     EnergyConstants,
     FederatedDataset,
     GaussianModelSpec,
     LogisticModelSpec,
-    client_grad,
     client_grads,
     constants,
     gen_gaussian_federation,
     gen_logistic_federation,
     target_posterior,
 )
-from .privacy import DpBudget, DpParams, account, budget_search
+from .privacy import DpBudget, DpParams, account_report, budget_search
 from .theory import BoundInputs, bound_decaying, bound_full_fixed, bound_partial, optimal_local_steps, plan_steps
 
 __all__ = [name for name in dir() if not name.startswith("_")]

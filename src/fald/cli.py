@@ -416,7 +416,16 @@ def cmd_plan(cfg: ExperimentConfig, outdir: Path) -> int:
     k_star = theory.optimal_local_steps(consts.kappa)
     pairs.append(("k_star", k_star))
     for label, k in (("configured", cfg.k_local), ("k_star", k_star)):
-        eta, t_eps, rounds = theory.plan_steps(cfg.target_eps, _bound_inputs(cfg, spec, consts, k, run_scheme))
+        inputs = _bound_inputs(cfg, spec, consts, k, run_scheme)
+        eta, t_eps, rounds = theory.plan_steps(cfg.target_eps, inputs)
+        # the planning rule has no device-sampling term; the partial-device bound does
+        bound = 0.0 if isinstance(run_scheme, FullDevice) else theory.bound_partial(replace(inputs, eta=eta), t_eps)
+        if bound > cfg.target_eps:
+            print(
+                f"warning: {label} plan (k = {k}, eta = {eta:g}, t_eps = {t_eps}): the {cfg.scheme} bound is "
+                f"{bound:g} > target_eps = {cfg.target_eps:g}; the plan ignores the partial-device bias",
+                file=sys.stderr,
+            )
         pairs += [
             (f"{label}_k", k),
             (f"{label}_eta", eta),

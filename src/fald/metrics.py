@@ -96,11 +96,6 @@ def w2_gaussian_parts(a: GaussianSummary, b: GaussianSummary):
     return np.sqrt(mean_sq + cov_sq), np.sqrt(mean_sq), np.sqrt(cov_sq)
 
 
-def w2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
-    """Closed-form 2-Wasserstein distance between two Gaussians."""
-    return w2_gaussian_parts(a, b)[0]
-
-
 # ---------------------------------------------------------------------------
 # classification metrics
 

@@ -327,21 +327,6 @@ def predict_proba(model: LogisticModelSpec, theta: np.ndarray, x: np.ndarray) ->
 # gradients
 
 
-def _check_theta(model, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.dim,):
-        raise ModelError(f"theta must have shape ({model.dim},); got {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ModelError("theta must be finite")
-    return theta
-
-
-def client_grad(model, c: int, theta: np.ndarray) -> np.ndarray:
-    """Exact per-client gradient (1/p_c) sum_i grad l(theta; x_{c,i})."""
-    theta = _check_theta(model, theta)
-    return client_grads(model, np.broadcast_to(theta[:, None, None], (model.dim, 1, model.data.n_clients)))[:, 0, c]
-
-
 def client_grads(model, thetas: np.ndarray, q: float = 1.0, keys=None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient estimates for every client; coordinate-major thetas (d, ..., B, N) -> (d, ..., B, N).
 
@@ -387,7 +372,10 @@ def subsample_indices(keys, n_c: int, size: int) -> np.ndarray:
 
     Each subset takes the ``size`` smallest of the key's first n_c uniforms
     in stable ranking order (ties by index); output shape keys.shape + (size,).
+    A subset larger than n_c raises.
     """
+    if size > n_c:
+        raise ModelError(f"subset size = {size} exceeds n_c = {n_c}: a subset draws without replacement")
     return _rank_smallest(uniform_bits_for_keys(keys, n_c), size)
 
 
@@ -477,25 +465,21 @@ def logistic_client_grad(
     return np.moveaxis(grads, 0, -1) if one else grads
 
 
-def energy(model, theta: np.ndarray) -> float:
-    """Total energy f(theta) = sum_c p_c f^c(theta) = sum_c l^c(theta), up to constants."""
-    theta = _check_theta(model, theta)
-    if isinstance(model, GaussianModelSpec):
-        total = 0.0
-        for pts in model.data.clients:
-            diff = theta[:, None] - pts.T
-            total += 0.5 * float(np.sum(apply_matrix(diff, model.sigma_inv) * diff))
-        return total
-    if isinstance(model, LogisticModelSpec):
-        w = theta.reshape(model.n_classes, model.n_features)
-        total = 0.0
-        for x, y in zip(model.data.clients, model.data.labels):
-            logits = x @ w.T
-            lse = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)) + logits.max(axis=1)
-            total += float(np.sum(lse - logits[np.arange(len(y)), y]))
-            total += 0.5 * model.ridge * float(theta @ theta) * x.shape[0]
-        return total
-    raise ModelError(f"unsupported model type {type(model).__name__}")
+def energy(model: LogisticModelSpec, theta: np.ndarray) -> float:
+    """Total softmax energy f(theta) = sum_c p_c f^c(theta) = sum_c l^c(theta), the objective of `_newton_minimize`."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (model.dim,):
+        raise ModelError(f"theta must have shape ({model.dim},); got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ModelError("theta must be finite")
+    w = theta.reshape(model.n_classes, model.n_features)
+    total = 0.0
+    for x, y in zip(model.data.clients, model.data.labels):
+        logits = x @ w.T
+        lse = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)) + logits.max(axis=1)
+        total += float(np.sum(lse - logits[np.arange(len(y)), y]))
+        total += 0.5 * model.ridge * float(theta @ theta) * x.shape[0]
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -185,14 +185,8 @@ def compose_rounds_scheme2(
     return _budget(eps, rounds * delta_tilde + delta2)
 
 
-def account(params: DpParams) -> DpBudget:
-    """End-to-end budget: per-step -> K-fold local -> device sampling -> rounds."""
-    report = account_report(params)
-    return DpBudget(report["epsilon_total"], report["delta_total"], report["delta_clamped"])
-
-
 def account_report(params: DpParams) -> dict:
-    """Every intermediate of the accounting chain, for auditable reports; full device is scheme II at S = N."""
+    """End-to-end budget (epsilon_total, delta_total, delta_clamped) and every intermediate; full device is scheme II at S = N."""
     eps1 = epsilon_one(params)
     local = compose_local(eps1, params.K, params.q, params.delta0, params.delta1)
     scheme = params.scheme if isinstance(params.scheme, (SchemeI, SchemeII)) else SchemeII(params.N)
@@ -235,9 +229,9 @@ def budget_search(eps_star: float, delta_star: float, params: DpParams) -> Optio
             trial = replace(params, rho=rho, scheme=scheme_type(S))
             if trial.eta > eta_max_dp(trial):
                 continue
-            budget = account(trial)
-            if budget.clamped:
+            report = account_report(trial)
+            if report["delta_clamped"]:
                 continue
-            if budget.epsilon <= eps_star and budget.delta <= delta_star:
+            if report["epsilon_total"] <= eps_star and report["delta_total"] <= delta_star:
                 return rho, S
     return None

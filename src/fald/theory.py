@@ -177,6 +177,7 @@ def plan_steps(epsilon: float, inputs: BoundInputs):
     eta solves 30 kappa sqrt(eta m d) sqrt((K^2 + kappa) H_0) = epsilon / 2,
     capped at 1/(2L); the horizon is the smallest multiple of K at which the
     initialization term decays below epsilon / 2.  Returns (eta, T, rounds).
+    The rule has no device-sampling term, so ``inputs.scheme`` is not read.
     """
     if epsilon <= 0:
         raise TheoryError("epsilon must be positive")

@@ -27,7 +27,7 @@ import fald
 from fald import cli, metrics, privacy, theory
 from fald.engine import FixedStep, FullDevice, RunConfig, SchemeI, SchemeII, run_replicated, run_sweep
 from fald.model import constants, gen_gaussian_federation, target_posterior
-from fald.privacy import DpParams, account, epsilon_one
+from fald.privacy import DpParams, account_report, epsilon_one
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -42,7 +42,7 @@ def criterion(num, ok, detail):
 
 def w2_curve(records, target):
     return np.array([
-        metrics.w2_gaussian(metrics.empirical_summary(records[:, r, :]), target)
+        metrics.w2_gaussian_parts(metrics.empirical_summary(records[:, r, :]), target)[0]
         for r in range(records.shape[1])
     ])
 
@@ -90,7 +90,7 @@ def exact_stationary_plateau(spec, eta, K, rho=0.0, tau=1.0):
             break
         V = nxt
     summary = metrics.GaussianSummary(mu[:d], 0.5 * (V[:d, :d] + V[:d, :d].T))
-    return metrics.w2_gaussian(summary, target_posterior(spec))
+    return metrics.w2_gaussian_parts(summary, target_posterior(spec))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_criterion_03_bias_monotone_in_eta(spec_c1, c1_result):
     def pooled_plateau(records):
         sample_rounds = np.arange(1000, 2001, 150)
         tail = records[:, sample_rounds, :].reshape(-1, records.shape[2])
-        return metrics.w2_gaussian(metrics.empirical_summary(tail), target)
+        return metrics.w2_gaussian_parts(metrics.empirical_summary(tail), target)[0]
 
     lo, hi = map(pooled_plateau, sweep_c1(spec_c1, [(etas[0], None), (etas[2], None)], R=800))
     ok = strict and lo < hi
@@ -334,7 +334,7 @@ def test_criterion_09_w2_oracle_equivalence():
             a = rng.standard_normal((d, d))
             return metrics.GaussianSummary(rng.standard_normal(d), a @ a.T + 0.1 * np.eye(d))
         a, b = summ(), summ()
-        worst = max(worst, abs(metrics.w2_gaussian(a, b) - w2_cholesky_oracle(a, b)))
+        worst = max(worst, abs(metrics.w2_gaussian_parts(a, b)[0] - w2_cholesky_oracle(a, b)))
     ok = worst < 1e-8
     criterion(9, ok, f"max |closed form - Cholesky oracle| = {worst:.2e} over 50 pairs (< 1e-8)")
 
@@ -346,7 +346,7 @@ def test_criterion_10_dp_accountant_properties():
     def eps(**over):
         merged = dict(base)
         merged.update(over)
-        return account(DpParams(**merged)).epsilon
+        return account_report(DpParams(**merged))["epsilon_total"]
 
     eta_ok = eps(eta=1e-6) < eps(eta=2e-6) < eps(eta=4e-6)
     t_ok = eps(T=500) < eps(T=1000) < eps(T=2000)
@@ -356,9 +356,9 @@ def test_criterion_10_dp_accountant_properties():
     q_ladder = [eps(q=v) for v in (0.1, 0.2, 0.4)]
     q_ok = q_ladder[0] <= q_ladder[1] <= q_ladder[2]
 
-    s_eq = account(DpParams(**{**base, "scheme": SchemeII(10)}))
-    full = account(DpParams(**{**base, "scheme": FullDevice()}))
-    identity_ok = abs(s_eq.epsilon - full.epsilon) < 1e-15
+    s_eq = account_report(DpParams(**{**base, "scheme": SchemeII(10)}))
+    full = account_report(DpParams(**{**base, "scheme": FullDevice()}))
+    identity_ok = abs(s_eq["epsilon_total"] - full["epsilon_total"]) < 1e-15
 
     eps_t = 0.005
     growth = privacy.compose_rounds(eps_t, 0.0, 200, 1e-6).epsilon / privacy.compose_rounds(

@@ -17,6 +17,7 @@ from fald import cli, config, metrics, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
 from fald.engine import FixedStep, FullDevice, SchemeI, SchemeII, run_block
 from tests_support_golden import BLAS_THREAD_VARS, GOLDEN_CONFIGS
+from tests_support_model import exact_grads
 
 MINIMAL = """
 # smallest valid experiment description
@@ -496,9 +497,9 @@ def test_privacy_report_matches_account(tmp_path):
     cfg = parse_config_file(path)
     spec, _, _ = cli.build_model(cfg)
     params = cli._dp_params(cfg, spec)
-    budget = privacy.account(params)
-    assert float(report["epsilon_total"]) == budget.epsilon
-    assert float(report["delta_total"]) == budget.delta
+    budget = privacy.account_report(params)
+    assert float(report["epsilon_total"]) == budget["epsilon_total"]
+    assert float(report["delta_total"]) == budget["delta_total"]
     assert "budget_search_rho" in report
 
 
@@ -546,6 +547,31 @@ def test_plan_reports_optimal_k(tmp_path):
     assert kappa == pytest.approx(17 + 12 * np.sqrt(2), rel=1e-9)
     assert int(report["k_star"]) == theory.optimal_local_steps(kappa)
     assert float(report["k_star_eta"]) > 0
+
+
+@pytest.mark.parametrize("name, scheme", [("scheme1", SchemeI(2)), ("scheme2", SchemeII(2))], ids=["scheme1", "scheme2"])
+def test_plan_warns_when_the_partial_device_bound_misses_the_target(name, scheme, tmp_path, capsys):
+    # the planning rule has no device-sampling term; at S = 2 of N = 3 the partial-device
+    # bias alone exceeds target_eps, so both plans warn and plan.txt stays the full-device one
+    full_text = RUN_GAUSSIAN + "target_eps = 0.05\n"
+    part_text = full_text + f"scheme = {name}\ns_devices = 2\n"
+    assert run_cli(["plan", write_config(tmp_path, full_text, "full.cfg"), "--outdir", tmp_path / "full"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli(["plan", write_config(tmp_path, part_text, "part.cfg"), "--outdir", tmp_path / "part"]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    plan = (tmp_path / "part" / "plan.txt").read_text()
+    assert plan == (tmp_path / "full" / "plan.txt").read_text()
+    report = dict(line.split(" = ") for line in plan.splitlines())
+    cfg = parse_config(part_text)
+    spec, _, _ = cli.build_model(cfg)
+    consts = cli.model_constants(cfg, spec)
+    assert len(warnings) == 2
+    for label, line in zip(("configured", "k_star"), warnings):
+        k, eta, t_eps = int(report[f"{label}_k"]), float(report[f"{label}_eta"]), int(report[f"{label}_t_eps"])
+        bound = theory.bound_partial(cli._bound_inputs(cfg, spec, consts, k, scheme, eta), t_eps)
+        assert bound > 0.05
+        assert line.startswith(f"warning: {label} plan (k = {k}, eta = {eta:g}, t_eps = {t_eps}): the {name} bound")
+        assert f" is {bound:g} > target_eps = 0.05;" in line
 
 
 def test_sweep_alpha_regenerates_data(tmp_path):
@@ -822,9 +848,9 @@ def test_library_call_forms_of_the_benchmark():
     thetas = rng.standard_normal((5, spec.dim))
     # every point of client 0 at q = 1 is its exact gradient
     idx = np.tile(np.arange(6), (5, 1))
-    exact = [model_mod.client_grad(spec, 0, t) for t in thetas]
+    exact = [exact_grads(spec, t)[:, 0] for t in thetas]
     assert np.allclose(model_mod.gaussian_client_grad_subset(spec, 0, thetas, idx, 1.0), exact)
     l_spec, _, _ = cli.build_model(parse_config(LOGISTIC_MINIMAL))
     w = rng.standard_normal((3, l_spec.dim))
     grads = model_mod.logistic_client_grad(l_spec, 0, w)
-    assert grads.shape == w.shape and np.array_equal(grads[1], model_mod.client_grad(l_spec, 0, w[1]))
+    assert grads.shape == w.shape and np.array_equal(grads[1], exact_grads(l_spec, w[1])[:, 0])

@@ -22,14 +22,10 @@ from fald.engine import (
     step_size,
     synchronize,
 )
-from fald.model import (
-    client_grad,
-    energy,
-    gen_gaussian_federation,
-    gen_logistic_federation,
-)
+from fald.model import gen_gaussian_federation, gen_logistic_federation
 from fald.streams import SHARED, key_grid, normals_for_keys, stream_key
 from tests_support_minibatch import one_minibatch_grad
+from tests_support_model import exact_grads, gaussian_energy
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -257,7 +253,7 @@ def test_single_client_chain_matches_handrolled_sgld():
     theta = np.zeros(2)
     hand = [theta.copy()]
     for k in range(100):
-        grad = client_grad(spec, 0, theta)
+        grad = exact_grads(spec, theta)[:, 0]
         # keys from the scalar reference, one step and one client at a time
         shared = normals_for_keys(stream_key(9, 2, k, SHARED, "noise"), 2)
         private = normals_for_keys(stream_key(9, 2, k, 0, "noise"), 2)
@@ -309,7 +305,7 @@ def test_k1_reduction_matches_direct_iterate():
         betas = np.empty_like(thetas)
         shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
         for c in range(4):
-            grad = client_grad(spec, c, thetas[c])
+            grad = exact_grads(spec, thetas[c])[:, c]
             private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
             noise = injected_noise(shared[:, None], private[:, None], 5e-4, 1.0, 0.25, p[c:c + 1])[:, 0]
             betas[c] = local_step(thetas[c], grad, noise, 5e-4)
@@ -331,7 +327,7 @@ def test_local_steps_chain_matches_handrolled(scheme):
     for k in range(12):
         shared = normals_for_keys(stream_key(4, 1, k, SHARED, "noise"), 2)
         for c in range(4):
-            grad = client_grad(spec, c, thetas[c])
+            grad = exact_grads(spec, thetas[c])[:, c]
             private = normals_for_keys(stream_key(4, 1, k, c, "noise"), 2)
             noise = injected_noise(shared[:, None], private[:, None], 1e-3, 1.0, 0.3, p[c:c + 1])[:, 0]
             thetas[c] = local_step(thetas[c], grad, noise, 1e-3)
@@ -347,7 +343,7 @@ def test_zero_temperature_chain_descends_energy():
     L = spec.data.total_points * float(np.linalg.eigvalsh(np.linalg.inv(REF_SIGMA))[-1])
     cfg = make_cfg(spec, local_steps=1, schedule=FixedStep(0.9 / L), horizon=30, init=np.array([2.0, -1.0]))
     traj = one_chain(cfg, spec, 0)
-    values = [energy(spec, traj[r]) for r in range(31)]
+    values = [gaussian_energy(spec, traj[r]) for r in range(31)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 

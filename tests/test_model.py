@@ -13,7 +13,6 @@ from fald.model import (
     _softmax_hessian,
     apply_matrix,
     ModelError,
-    client_grad,
     client_grads,
     constants,
     energy,
@@ -31,6 +30,7 @@ from fald.model import (
 )
 from fald.streams import SHARED, key_grid, normals_for_keys, stream_key, uniforms_for_keys
 from tests_support_minibatch import one_minibatch_grad
+from tests_support_model import exact_grads, gaussian_energy
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -259,14 +259,14 @@ def test_client_points_do_not_depend_on_other_clients():
 def test_grad_zero_at_single_data_point():
     spec = gen_gaussian_federation(1, 0.0, 1, REF_SIGMA, seed=2)
     x = spec.data.clients[0][0]
-    assert np.allclose(client_grad(spec, 0, x), 0.0)
+    assert np.allclose(exact_grads(spec, x)[:, 0], 0.0)
 
 
 def test_grad_identity_precision():
     data = FederatedDataset([np.array([[0.5, -1.5]])])
     spec = fald.GaussianModelSpec(sigma=np.eye(2), data=data)
     theta = data.clients[0][0] + np.array([1.0, 2.0])
-    assert np.allclose(client_grad(spec, 0, theta), [1.0, 2.0])
+    assert np.allclose(exact_grads(spec, theta)[:, 0], [1.0, 2.0])
 
 
 def _finite_difference(f, theta, h=1e-5):
@@ -281,24 +281,26 @@ def _finite_difference(f, theta, h=1e-5):
 @pytest.mark.parametrize("model_kind", ["gaussian", "logistic"])
 def test_total_gradient_matches_finite_differences(model_kind):
     if model_kind == "gaussian":
-        spec = make_spec(n_clients=2, points=5, seed=9)
+        spec, f = make_spec(n_clients=2, points=5, seed=9), gaussian_energy
     else:
-        spec, _, _ = gen_logistic_federation(2, 0.5, 10, 2, 3, seed=9, ridge=0.05)
+        spec, f = gen_logistic_federation(2, 0.5, 10, 2, 3, seed=9, ridge=0.05)[0], energy
     rng = np.random.default_rng(0)
     for _ in range(3):
         theta = rng.standard_normal(spec.dim)
         total = np.zeros(spec.dim)
         for c in range(spec.data.n_clients):
-            total += spec.data.weights[c] * client_grad(spec, c, theta)
-        fd = _finite_difference(lambda t: energy(spec, t), theta)
+            total += spec.data.weights[c] * exact_grads(spec, theta)[:, c]
+        fd = _finite_difference(lambda t: f(spec, t), theta)
         scale = max(1.0, np.linalg.norm(fd))
         assert np.max(np.abs(total - fd)) / scale < 1e-5
 
 
 def test_non_finite_theta_rejected():
-    spec = make_spec()
+    spec = gen_logistic_federation(2, 0.5, 10, 2, 3, seed=9, ridge=0.05)[0]
+    theta = np.zeros(spec.dim)
+    theta[0] = np.nan
     with pytest.raises(ModelError, match="finite"):
-        client_grad(spec, 0, np.array([np.nan, 0.0]))
+        energy(spec, theta)
 
 
 def test_full_batch_equals_exact():
@@ -308,7 +310,7 @@ def test_full_batch_equals_exact():
     keys = key_grid(0, [0], [0], range(3), "subsample")[0]
     grads = client_grads(spec, np.broadcast_to(theta[:, None, None], (2, 1, 3)), 1.0, keys)
     for c in range(3):
-        assert np.array_equal(grads[:, 0, c], client_grad(spec, c, theta))
+        assert np.array_equal(grads[:, 0, c], exact_grads(spec, theta)[:, c])
 
 
 SIGMA_3 = np.array([[5.0, -2.0, 1.0], [-2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
@@ -333,7 +335,7 @@ def test_client_grads_match_one_client_forms(family):
         for b in range(3):
             for c in range(4):
                 theta = thetas[:, b, c]
-                assert np.array_equal(exact[:, b, c], client_grad(spec, c, theta))
+                assert np.array_equal(exact[:, b, c], exact_grads(spec, theta)[:, c])
                 assert np.array_equal(mini[:, b, c], one_minibatch_grad(spec, c, theta, 0.5, int(keys[b, c])))
 
 
@@ -362,6 +364,13 @@ def test_subsample_indices_batch_matches_single_keys():
             single = subsample_indices(stream_key(3, i, k, 0, "subsample"), 8, 4)
             assert np.array_equal(batch[i, k], single)
             assert len(set(single.tolist())) == 4 and 0 <= single.min() and single.max() < 8
+
+
+def test_subsample_indices_reject_a_subset_larger_than_the_client():
+    # a without-replacement subset of 5 from 3 points cannot have the keys.shape + (size,) shape
+    assert subsample_indices(np.uint64(12345), 3, 3).shape == (3,)
+    with pytest.raises(ModelError, match=r"size = 5 exceeds n_c = 3"):
+        subsample_indices(np.uint64(12345), 3, 5)
 
 
 @pytest.mark.parametrize("n_c", [1, 2, 3, 20, 2048, 2049])
@@ -467,7 +476,7 @@ def test_subset_grad_client_array_matches_single_clients(oracle, C, F):
 def test_stochastic_gradient_unbiased():
     spec = make_spec(n_clients=2, points=8, seed=4)
     theta = np.array([0.8, -0.1])
-    exact = client_grad(spec, 0, theta)
+    exact = exact_grads(spec, theta)[:, 0]
     draws = 100_000
     keys = key_grid(123, [0], range(draws), range(2), "subsample")[0]
     samples = client_grads(spec, np.broadcast_to(theta[:, None, None], (2, draws, 2)), 0.5, keys)[:, :, 0].T
@@ -481,7 +490,7 @@ def test_stochastic_second_moment_within_reported_scale():
     consts = constants(spec, theta0_radius=1.0, subsample_ratio=0.5, seed=11)
     theta = consts.theta_star + 0.1
     draws = 20_000
-    exact = client_grad(spec, 0, theta)
+    exact = exact_grads(spec, theta)[:, 0]
     keys = key_grid(7, [0], range(draws), range(2), "subsample")[0]
     g = client_grads(spec, np.broadcast_to(theta[:, None, None], (2, draws, 2)), 0.5, keys)[:, :, 0].T
     sq = float(np.sum((g - exact) ** 2))
@@ -496,7 +505,7 @@ def scalar_sigma_sg(model, theta_star, q, probe_points, mc_draws, seed):
         probe_key = np.uint64(stream_key(seed, p, 0, SHARED, "sigma_sg_probe"))
         theta = theta_star + normals_for_keys(probe_key, d) / np.sqrt(d)
         for c in range(model.data.n_clients):
-            exact = client_grad(model, c, theta)
+            exact = exact_grads(model, theta)[:, c]
             sq = 0.0
             for draw in range(mc_draws):
                 g = one_minibatch_grad(model, c, theta, q, stream_key(seed, p, draw, c, "sigma_sg"))
@@ -607,7 +616,7 @@ def test_strong_convexity_smoothness_sandwich():
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
         for c in range(spec.data.n_clients):
-            gap = client_grad(spec, c, y) - client_grad(spec, c, x)
+            gap = exact_grads(spec, y)[:, c] - exact_grads(spec, x)[:, c]
             inner = float(gap @ (y - x))
             sq = float(np.sum((y - x) ** 2))
             assert consts.m * sq <= inner + 1e-9
@@ -619,7 +628,7 @@ def test_logistic_sandwich_and_newton():
     consts = constants(spec, theta0_radius=0.0)
     # minimizer: total gradient vanishes
     total = sum(
-        spec.data.weights[c] * client_grad(spec, c, consts.theta_star)
+        spec.data.weights[c] * exact_grads(spec, consts.theta_star)[:, c]
         for c in range(2)
     )
     assert np.linalg.norm(total) < 1e-8
@@ -629,7 +638,7 @@ def test_logistic_sandwich_and_newton():
         x = rng.standard_normal(spec.dim) * 0.5
         y = rng.standard_normal(spec.dim) * 0.5
         for c in range(2):
-            gap = client_grad(spec, c, y) - client_grad(spec, c, x)
+            gap = exact_grads(spec, y)[:, c] - exact_grads(spec, x)[:, c]
             inner = float(gap @ (y - x))
             sq = float(np.sum((y - x) ** 2))
             assert consts.m * sq <= inner + 1e-9
@@ -685,7 +694,7 @@ def test_newton_leaves_damped_phase_at_rounding_level_decrement(monkeypatch):
     monkeypatch.setattr(model_mod, "energy", lambda *a: calls.append(1) or energy(*a))
     theta_star = _newton_minimize(spec)
     assert len(calls) < 100
-    grad = sum(client_grad(spec, c, theta_star) * w for c, w in enumerate(spec.data.weights))
+    grad = sum(exact_grads(spec, theta_star)[:, c] * w for c, w in enumerate(spec.data.weights))
     assert np.linalg.norm(grad) < 1e-10
 
 

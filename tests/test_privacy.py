@@ -8,7 +8,6 @@ from fald.engine import FullDevice, SchemeI, SchemeII
 from fald.privacy import (
     DpParams,
     PrivacyError,
-    account,
     account_report,
     amplify_scheme,
     budget_search,
@@ -167,15 +166,15 @@ def test_round_composition_sqrt2_growth_in_small_eps_regime():
 def test_delta_chain_identity_scheme2():
     # total delta = (S/N) q T delta0 + (T S / (K N)) delta1 + delta2 exactly
     params = desk(eta=0.0, scheme=SchemeII(4), delta1=1e-7, delta2=1e-8)
-    budget = account(params)
+    budget = account_report(params)
     S, N, T, K = 4, params.N, params.T, params.K
     expected = (
         mp.mpf(S) / N * mp.mpf(params.q) * T * mp.mpf(params.delta0)
         + mp.mpf(T) * S / (K * N) * mp.mpf(params.delta1)
         + mp.mpf(params.delta2)
     )
-    assert budget.delta == pytest.approx(float(expected), rel=1e-12)
-    assert budget.epsilon == 0.0
+    assert budget["delta_total"] == pytest.approx(float(expected), rel=1e-12)
+    assert budget["epsilon_total"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,40 +236,40 @@ def mp_account_scheme2(v):
 
 def test_account_desk_golden():
     params = desk(scheme=SchemeII(5))
-    budget = account(params)
+    budget = account_report(params)
     eps, delta = mp_account_scheme2(dict(DESK, scheme=SchemeII(5)))
-    assert budget.epsilon == pytest.approx(eps, rel=1e-12)
-    assert budget.delta == pytest.approx(delta, rel=1e-12)
+    assert budget["epsilon_total"] == pytest.approx(eps, rel=1e-12)
+    assert budget["delta_total"] == pytest.approx(delta, rel=1e-12)
 
 
 def test_account_monotone_ladders():
     base = desk()
-    eps0 = account(base).epsilon
+    eps0 = account_report(base)["epsilon_total"]
     for field, values in (
         ("eta", (1e-6, 2e-6, 4e-6)),
         ("T", (100, 1000, 10000)),
         ("delta_l", (0.5, 1.0, 2.0)),
     ):
-        ladder = [account(desk(**{field: v})).epsilon for v in values]
+        ladder = [account_report(desk(**{field: v}))["epsilon_total"] for v in values]
         assert ladder[0] < ladder[1] < ladder[2], field
-    s_ladder = [account(desk(scheme=SchemeII(s))).epsilon for s in (2, 5, 10)]
+    s_ladder = [account_report(desk(scheme=SchemeII(s)))["epsilon_total"] for s in (2, 5, 10)]
     assert s_ladder[0] < s_ladder[1] < s_ladder[2]
-    tau_ladder = [account(desk(tau=t, eta=1e-6)).epsilon for t in (1.0, 2.0, 4.0)]
+    tau_ladder = [account_report(desk(tau=t, eta=1e-6))["epsilon_total"] for t in (1.0, 2.0, 4.0)]
     assert tau_ladder[0] > tau_ladder[1] > tau_ladder[2]
-    rho_ladder = [account(desk(rho=r, eta=1e-7)).epsilon for r in (0.0, 0.5, 0.9)]
+    rho_ladder = [account_report(desk(rho=r, eta=1e-7))["epsilon_total"] for r in (0.0, 0.5, 0.9)]
     assert rho_ladder[0] < rho_ladder[1] < rho_ladder[2]
 
 
 def test_account_diverges_toward_rho_one():
-    lo = account(desk(rho=0.0, eta=1e-8)).epsilon
-    hi = account(desk(rho=0.999, eta=1e-8)).epsilon
+    lo = account_report(desk(rho=0.0, eta=1e-8))["epsilon_total"]
+    hi = account_report(desk(rho=0.999, eta=1e-8))["epsilon_total"]
     assert hi > 10 * lo
 
 
 def test_account_eta_zero_boundary():
-    budget = account(desk(eta=0.0))
-    assert budget.epsilon == 0.0
-    assert 0 < budget.delta < 1
+    budget = account_report(desk(eta=0.0))
+    assert budget["epsilon_total"] == 0.0
+    assert 0 < budget["delta_total"] < 1
 
 
 def test_composed_epsilon_never_beats_linear_branch():
@@ -293,10 +292,10 @@ def test_report_contains_both_round_composition_forms():
 
 
 def test_full_device_accounts_as_scheme2_all_devices():
-    full = account(desk(scheme=FullDevice()))
-    s_n = account(desk(scheme=SchemeII(10)))
-    assert full.epsilon == pytest.approx(s_n.epsilon, rel=1e-15)
-    assert full.delta == pytest.approx(s_n.delta, rel=1e-15)
+    full = account_report(desk(scheme=FullDevice()))
+    s_n = account_report(desk(scheme=SchemeII(10)))
+    assert full["epsilon_total"] == pytest.approx(s_n["epsilon_total"], rel=1e-15)
+    assert full["delta_total"] == pytest.approx(s_n["delta_total"], rel=1e-15)
 
 
 def test_delta_clamp_flag():
@@ -332,8 +331,8 @@ def test_budget_search_matches_exhaustive_enumeration():
             trial = replace(params, rho=rho, scheme=SchemeII(S))
             if trial.eta > eta_max_dp(trial):
                 continue
-            budget = account(trial)
-            if budget.clamped or budget.epsilon > eps_star or budget.delta > delta_star:
+            budget = account_report(trial)
+            if budget["delta_clamped"] or budget["epsilon_total"] > eps_star or budget["delta_total"] > delta_star:
                 continue
             if best is None or (rho, S) > best:
                 best = (rho, S)
