@@ -12,14 +12,13 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterator, List, Optional
 
 import numpy as np
 
-from . import engine, metrics, model as model_mod, privacy, theory
+from . import engine, model as model_mod
 from .config import ConfigError, ExperimentConfig, parse_config_file, require, sweep_label, sweep_point
 from .engine import (
     ChainDivergenceError,
@@ -30,7 +29,6 @@ from .engine import (
     SchemeI,
     SchemeII,
 )
-from .svgchart import line_chart
 
 T_EPS_SMOOTHING_WINDOW = 5  # trailing moving average applied before the first crossing
 _CSV_CHUNK_ROWS = 4096  # rows formatted at a time
@@ -174,6 +172,8 @@ def logistic_metric_rows(cfg: ExperimentConfig, spec, records: np.ndarray, test_
     rounds after the warmup; predictions average over all samples collected so
     far, pooled across replications.
     """
+    from . import metrics
+
     table = {"round": list(range(cfg.warmup_rounds + cfg.collect_every, records.shape[1], cfg.collect_every))}
     total = None
     for i, r in enumerate(table["round"]):
@@ -191,6 +191,8 @@ def metric_table(cfg: ExperimentConfig, spec, records: np.ndarray, test_x, test_
     Gaussian run, the predictive metrics of `logistic_metric_rows` for a logistic one."""
     if cfg.model != "gaussian":
         return logistic_metric_rows(cfg, spec, records, test_x, test_y)
+    from . import metrics
+
     target = model_mod.target_posterior(spec)
     table = {"round": list(range(records.shape[1]))}
     parts = [metrics.w2_gaussian_parts(metrics.empirical_summary(records[:, r, :]), target) for r in table["round"]]
@@ -231,6 +233,8 @@ def cmd_gen_data(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
+    from .svgchart import line_chart
+
     spec, test_x, test_y = build_model(cfg)
     run_cfg = build_run_config(cfg, spec)
     if isinstance(run_cfg.schedule, FixedStep) and cfg.model == "gaussian":
@@ -281,6 +285,8 @@ def _sweep_points(cfg: ExperimentConfig, spec):
 
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
+    from .svgchart import line_chart
+
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep axis")
     require(cfg, "replications")
@@ -321,7 +327,10 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _bound_inputs(cfg: ExperimentConfig, spec, consts, K: int, scheme, eta=None) -> theory.BoundInputs:
+def _bound_inputs(cfg: ExperimentConfig, spec, consts, K: int, scheme, eta=None):
+    """The `theory.BoundInputs` of the configured federation at K local steps."""
+    from . import theory
+
     return theory.bound_inputs(
         consts,
         tau=spec.tau,
@@ -336,6 +345,9 @@ def _bound_inputs(cfg: ExperimentConfig, spec, consts, K: int, scheme, eta=None)
 
 
 def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
+    from . import theory
+    from .svgchart import line_chart
+
     spec, _, _ = build_model(cfg)
     run_cfg = build_run_config(cfg, spec)
     eta = run_cfg.schedule.eta if isinstance(run_cfg.schedule, FixedStep) else None
@@ -361,7 +373,10 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _dp_params(cfg: ExperimentConfig, spec) -> privacy.DpParams:
+def _dp_params(cfg: ExperimentConfig, spec):
+    """The `privacy.DpParams` of the configured run; an invalid one is a config error."""
+    from . import privacy
+
     if cfg.schedule == "decaying":
         raise ConfigError("privacy accounting needs schedule = fixed (the decaying schedule ignores eta)")
     require(cfg, "delta_l", "horizon", "eta")
@@ -386,6 +401,8 @@ def _dp_params(cfg: ExperimentConfig, spec) -> privacy.DpParams:
 
 
 def cmd_privacy(cfg: ExperimentConfig, outdir: Path) -> int:
+    from . import privacy
+
     spec, _, _ = build_model(cfg)
     params = _dp_params(cfg, spec)
     limit = privacy.eta_max_dp(params)
@@ -408,6 +425,8 @@ def cmd_privacy(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_plan(cfg: ExperimentConfig, outdir: Path) -> int:
+    from . import theory
+
     require(cfg, "target_eps")
     spec, _, _ = build_model(cfg)
     consts = model_constants(cfg, spec)
@@ -451,6 +470,25 @@ _COMMANDS = {
 }
 
 
+# An except clause's expression is evaluated only when an exception reaches it, so these
+# helpers import the error classes of the pool, theory, privacy and metrics only then.
+
+
+def _broken_pool_error():
+    from concurrent.futures import BrokenExecutor
+
+    return BrokenExecutor
+
+
+def _numeric_errors():
+    """The error classes that exit 3 besides a broken pool."""
+    from .metrics import MetricsError
+    from .privacy import PrivacyError
+    from .theory import TheoryError
+
+    return ChainDivergenceError, TheoryError, PrivacyError, model_mod.ModelError, MetricsError, engine.EngineError
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fald", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
@@ -469,11 +507,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except BrokenExecutor as err:
+    except _broken_pool_error() as err:
         print(f"error: a worker process died ({err}); FALD_THREADS=1 runs without workers", file=sys.stderr)
         return 3
-    except (ChainDivergenceError, theory.TheoryError, privacy.PrivacyError,
-            model_mod.ModelError, metrics.MetricsError, engine.EngineError) as err:
+    except _numeric_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

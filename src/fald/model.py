@@ -10,7 +10,6 @@ heterogeneity constants that feed the bound calculators.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -608,7 +607,10 @@ def _newton_minimize(model: LogisticModelSpec) -> np.ndarray:
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
             return theta
-        step = np.linalg.solve(_softmax_hessian(x_all, probs, model.ridge), grad)
+        try:
+            step = np.linalg.solve(_softmax_hessian(x_all, probs, model.ridge), grad)
+        except np.linalg.LinAlgError:
+            raise ModelError(f"the energy's Hessian is singular at ridge = {model.ridge:g}") from None
         t = 1.0
         if it < max_iter:  # damped phase: Armijo backtracking on the energy, unless it cannot see the step
             f0, decrement = energy(model, theta), float(grad @ step)
@@ -639,6 +641,8 @@ def target_posterior(model):
 
 
 def load_dataset_csv(path) -> FederatedDataset:
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

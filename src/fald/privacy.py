@@ -102,13 +102,10 @@ def _advanced(eps: float, k: int, delta: float, middle: float, count: str) -> fl
 
 def eta_max_dp(params: DpParams) -> float:
     """Largest admissible step size tau (1-rho^2) q^2 min_pc / (delta_l^2 ln(1.25/delta0))."""
-    return (
-        params.tau
-        * (1.0 - params.rho ** 2)
-        * params.q ** 2
-        * params.min_pc
-        / (params.delta_l ** 2 * math.log(1.25 / params.delta0))
-    )
+    denominator = params.delta_l ** 2 * math.log(1.25 / params.delta0)
+    if denominator == 0.0:
+        raise PrivacyError(f"delta_l = {params.delta_l:g} is too small: delta_l^2 underflows to 0")
+    return params.tau * (1.0 - params.rho ** 2) * params.q ** 2 * params.min_pc / denominator
 
 
 def epsilon_one(params: DpParams) -> float:

@@ -183,7 +183,7 @@ def plan_steps(epsilon: float, inputs: BoundInputs):
         raise TheoryError("epsilon must be positive")
     kappa = inputs.kappa
     h0 = h_rho(replace(inputs, rho=0.0))
-    eta_star = epsilon ** 2 / (
+    eta_star = epsilon * epsilon / (  # inf at a huge epsilon, capped below
         3600.0 * kappa ** 2 * inputs.m * inputs.d * (inputs.K ** 2 + kappa) * h0
     )
     eta = min(1.0 / (2.0 * inputs.L), eta_star)
@@ -191,7 +191,10 @@ def plan_steps(epsilon: float, inputs: BoundInputs):
     if initial <= epsilon / 2.0:
         t_eps = 0
     else:
-        t_min = 4.0 / (eta * inputs.m) * np.log(2.0 * initial / epsilon)
+        with np.errstate(divide="ignore", over="ignore"):  # an eta that underflows gives an infinite horizon
+            t_min = 4.0 / np.float64(eta * inputs.m) * np.log(2.0 * initial / epsilon)
+        if not np.isfinite(t_min):
+            raise TheoryError(f"target_eps = {epsilon:g} gives no finite horizon (planned eta = {eta:g})")
         t_eps = int(np.ceil(t_min / inputs.K)) * inputs.K
     return eta, t_eps, t_eps // inputs.K
 

@@ -574,6 +574,58 @@ def test_plan_warns_when_the_partial_device_bound_misses_the_target(name, scheme
         assert f" is {bound:g} > target_eps = 0.05;" in line
 
 
+def fald_process(command, path, outdir):
+    """``python -m fald.cli command path --outdir outdir`` in a fresh interpreter at FALD_THREADS=1."""
+    return subprocess.run([sys.executable, "-m", "fald.cli", command, str(path), "--outdir", str(outdir)],
+                          capture_output=True, text=True, env=dict(os.environ, FALD_THREADS="1"))
+
+
+SINGULAR_RIDGE = """\
+model = logistic
+n_clients = 4
+points_per_client = 6
+n_features = 3
+n_classes = 3
+k_local = 2
+eta = 0.0005
+horizon = 40
+replications = 4
+collect_every = 1
+warmup_rounds = 0
+ridge = 1e-300
+target_eps = 0.5
+seed = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("plan", RUN_GAUSSIAN + "target_eps = 1e-170\n", "target_eps = 1e-170 gives no finite horizon (planned eta = 0)"),
+        ("privacy", RUN_GAUSSIAN + "delta_l = 1e-300\n", "delta_l = 1e-300 is too small: delta_l^2 underflows to 0"),
+        ("bounds", SINGULAR_RIDGE, "the energy's Hessian is singular at ridge = 1e-300"),
+    ],
+    ids=["plan-tiny-target_eps", "privacy-tiny-delta_l", "bounds-tiny-ridge"],
+)
+def test_values_past_floating_point_range_exit_3(command, text, message, tmp_path):
+    # a fresh process: main imports the exit-3 error classes only when an error reaches it
+    proc = fald_process(command, write_config(tmp_path, text), tmp_path / "out")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+def test_plan_at_a_huge_target_caps_eta(tmp_path):
+    # epsilon^2 overflows to inf, so eta is 1/(2L) and the initial term is already below the target
+    text = RUN_GAUSSIAN + "target_eps = 1e300\n"
+    proc = fald_process("plan", write_config(tmp_path, text), tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = dict(line.split(" = ") for line in (tmp_path / "plan.txt").read_text().splitlines())
+    cfg = parse_config(text)
+    L = cli.model_constants(cfg, cli.build_model(cfg)[0]).L
+    for label in ("configured", "k_star"):
+        assert (float(report[f"{label}_eta"]), report[f"{label}_t_eps"], report[f"{label}_rounds"]) == (
+            1.0 / (2.0 * L), "0", "0")
+
+
 def test_sweep_alpha_regenerates_data(tmp_path):
     text = RUN_GAUSSIAN + "sweep = alpha\nsweep_values = 0.0, 2.0\n"
     path = write_config(tmp_path, text)
@@ -814,6 +866,33 @@ def test_startup_keeps_blas_on_one_thread_and_loads_no_pool():
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={**clean, **preset})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"env": expected, "loaded": []}
+
+
+FALD_SUBMODULES = sorted(f"fald.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize(
+    "step, absent",
+    [
+        ("import fald", [*FALD_SUBMODULES, "numpy"]),
+        ("import fald.cli", ["fald.theory", "fald.privacy", "fald.metrics", "fald.svgchart",
+                             "concurrent.futures", "logging"]),
+        ("plan", ["fald.metrics", "fald.svgchart", "concurrent.futures"]),
+        ("run", ["fald.theory", "fald.privacy", "concurrent.futures"]),
+    ],
+)
+def test_each_step_loads_only_the_modules_it_runs(step, absent, tmp_path):
+    # a fresh interpreter at FALD_THREADS=1: pytest has already imported every fald module in this one
+    body = step
+    if not step.startswith("import"):
+        argv = [step, str(write_config(tmp_path, GOLDEN_CONFIGS["gaussian-scheme2:2-q0.5"])), "--outdir", str(tmp_path)]
+        body = ("import contextlib, io\nfrom fald import cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0")
+    probe = f"{body}\nimport json, sys\nprint(json.dumps([m for m in {absent!r} if m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, FALD_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_commands_load_no_numpy_random(tmp_path):

@@ -2,6 +2,9 @@
 
 import ast
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import fald
@@ -50,3 +53,31 @@ def test_every_export_is_used_by_the_library_or_the_benchmark():
     ]
     assert len(exported) > 20
     assert [name for name in exported if name not in used] == []
+
+
+# the functions and classes that `fald` exports, by the submodule that defines them
+EXPORTS = {
+    "engine": ["ChainDivergenceError", "DecayingStep", "FixedStep", "FullDevice", "RunConfig", "SchemeI", "SchemeII",
+               "run_replicated"],
+    "metrics": ["GaussianSummary", "classification_metrics", "empirical_summary", "w2_gaussian_parts"],
+    "model": ["EnergyConstants", "FederatedDataset", "GaussianModelSpec", "LogisticModelSpec", "client_grads",
+              "constants", "gen_gaussian_federation", "gen_logistic_federation", "target_posterior"],
+    "privacy": ["DpBudget", "DpParams", "account_report", "budget_search"],
+    "theory": ["BoundInputs", "bound_decaying", "bound_full_fixed", "bound_partial", "optimal_local_steps",
+               "plan_steps"],
+}
+
+
+def test_exports_resolve_to_their_definitions():
+    # `import fald` loads no submodule; each export resolves on first access, and star-import binds every one
+    expected = sorted([*EXPORTS, "streams", *(name for names in EXPORTS.values() for name in names)])
+    assert fald.__all__ == expected and len(expected) == 37
+    for module, names in EXPORTS.items():
+        for name in names:
+            value = getattr(fald, name)
+            assert (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == f"fald.{module}"
+    assert all(inspect.ismodule(getattr(fald, module)) for module in [*EXPORTS, "streams"])
+    probe = "import json\nfrom fald import *\nprint(json.dumps(sorted(k for k in globals() if not k.startswith('_'))))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(expected + ["json"])

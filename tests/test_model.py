@@ -698,6 +698,14 @@ def test_newton_leaves_damped_phase_at_rounding_level_decrement(monkeypatch):
     assert np.linalg.norm(grad) < 1e-10
 
 
+def test_newton_reports_a_singular_hessian():
+    # shifting every class's weights alike leaves the softmax unchanged, so only the ridge
+    # makes the Hessian invertible, and 1e-300 is below its rounding
+    spec = gen_logistic_federation(4, 0.5, 6, 3, 3, seed=3, ridge=1e-300)[0]
+    with pytest.raises(ModelError, match=r"^the energy's Hessian is singular at ridge = 1e-300$"):
+        _newton_minimize(spec)
+
+
 def test_ridge_required():
     spec, _, _ = gen_logistic_federation(2, 0.3, 6, 2, 2, seed=5, ridge=0.1)
     with pytest.raises(ModelError, match="ridge"):

@@ -61,6 +61,11 @@ def test_epsilon_one_golden_high_precision():
     assert got == pytest.approx(0.21666, rel=1e-4)
 
 
+def test_eta_max_dp_rejects_a_delta_l_whose_square_underflows():
+    with pytest.raises(PrivacyError, match=r"^delta_l = 1e-300 is too small"):
+        eta_max_dp(desk(delta_l=1e-300))
+
+
 def test_epsilon_one_sqrt_eta_scaling():
     base = epsilon_one(desk(eta=1e-6))
     assert epsilon_one(desk(eta=4e-6)) == pytest.approx(2 * base, rel=1e-12)

@@ -261,6 +261,14 @@ def test_plan_respects_step_cap():
     assert eta == pytest.approx(1.0 / (2 * DESK["L"]), rel=1e-12)
 
 
+def test_plan_at_extreme_targets():
+    # a huge target's eta_star overflows to inf and is capped; a tiny one's underflows to 0
+    inp = BoundInputs(**dict(DESK, eta=None))
+    assert plan_steps(1e300, inp) == (1.0 / (2 * DESK["L"]), 0, 0)
+    with pytest.raises(TheoryError, match=r"^target_eps = 1e-170 gives no finite horizon"):
+        plan_steps(1e-170, inp)
+
+
 def test_plan_horizon_is_round_multiple():
     inp = BoundInputs(**dict(DESK, eta=None))
     _, t_eps, rounds = plan_steps(1e-3, inp)
