@@ -84,7 +84,7 @@ def write_csv(path: Path, header: List[str], columns) -> None:
 
 
 def save_dataset_csv(data: model_mod.FederatedDataset, path: Path) -> None:
-    """One row per point: client_id, x_1..x_d and, when present, label; `model.load_dataset_csv` reads it."""
+    """One row per point: client_id, x_1..x_d and, when present, label."""
     header = ["client_id"] + [f"x_{j + 1}" for j in range(data.dim)]
     columns = [np.repeat(np.arange(data.n_clients), data.counts)] + list(data.all_points.T)
     if data.labels is not None:

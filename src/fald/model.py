@@ -635,29 +635,3 @@ def target_posterior(model):
     mean = model.data.all_points.mean(axis=0)
     return GaussianSummary(mean=mean, cov=(model.tau / n) * model.sigma)
 
-
-# ---------------------------------------------------------------------------
-# dataset serialization
-
-
-def load_dataset_csv(path) -> FederatedDataset:
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "client_id":
-            raise ModelError(f"{path}: missing dataset header row")
-        has_label = header[-1] == "label"
-        d = len(header) - 1 - (1 if has_label else 0)
-        by_client: dict = {}
-        for row in reader:
-            cid = int(row[0])
-            pts, labs = by_client.setdefault(cid, ([], []))
-            pts.append([float(v) for v in row[1 : 1 + d]])
-            if has_label:
-                labs.append(int(row[1 + d]))
-        ids = sorted(by_client)
-        clients = [np.array(by_client[c][0]) for c in ids]
-        labels = [np.array(by_client[c][1], dtype=np.int64) for c in ids] if has_label else None
-        return FederatedDataset(clients, labels)

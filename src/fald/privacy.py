@@ -102,9 +102,14 @@ def _advanced(eps: float, k: int, delta: float, middle: float, count: str) -> fl
 
 def eta_max_dp(params: DpParams) -> float:
     """Largest admissible step size tau (1-rho^2) q^2 min_pc / (delta_l^2 ln(1.25/delta0))."""
-    denominator = params.delta_l ** 2 * math.log(1.25 / params.delta0)
-    if denominator == 0.0:
-        raise PrivacyError(f"delta_l = {params.delta_l:g} is too small: delta_l^2 underflows to 0")
+    try:
+        square = params.delta_l ** 2
+    except OverflowError:  # Python's float power raises past float64's largest value
+        square = math.inf
+    if not 0.0 < square < math.inf:
+        size = "large: delta_l^2 overflows" if square else "small: delta_l^2 underflows to 0"
+        raise PrivacyError(f"delta_l = {params.delta_l:g} is too {size}")
+    denominator = square * math.log(1.25 / params.delta0)
     return params.tau * (1.0 - params.rho ** 2) * params.q ** 2 * params.min_pc / denominator
 
 

@@ -68,20 +68,12 @@ def _tag_to_u64(tag) -> int:
     raise TypeError(f"stream tag must be int or str, got {type(tag).__name__}")
 
 
-def stream_key(master_seed, replication, iteration, client_tag, purpose_tag) -> int:
-    """64-bit key identifying one stream; pure function of its five inputs."""
-    h = _mix64_int(int(master_seed) + _GOLDEN)
-    for field in (int(replication), int(iteration), _tag_to_u64(client_tag), _tag_to_u64(purpose_tag)):
-        h = _mix64_int(h ^ field)
-    return h
-
-
 def key_grid(master_seed, replications, iterations, client_tags, purpose_tag) -> np.ndarray:
-    """Vectorized `stream_key` over replications, iterations and client tags.
+    """The uint64 key of each (replication, iteration, client tag) stream under one purpose tag.
 
-    Returns a uint64 array of shape (len(replications), len(iterations),
-    len(client_tags)) whose entries equal `stream_key` called element by
-    element.
+    Shape (len(replications), len(iterations), len(client_tags)); a key is the
+    splitmix64 finalizer chained over the seed, the replication, the iteration,
+    the client tag and the purpose tag, so it is a pure function of those five.
     """
     h0 = _mix64_int(int(master_seed) + _GOLDEN)
     reps = np.asarray(replications, dtype=np.uint64)

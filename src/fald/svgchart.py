@@ -15,9 +15,12 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
+def _axis(lo: float, hi: float) -> Tuple[float, float]:
+    """The axis range over data in [lo, hi]; a span too narrow for distinct ticks (none, or a few ulps) is [lo, lo + 1]."""
+    return (lo, lo + 1.0) if hi - lo <= 1e-12 * max(abs(lo), abs(hi)) else (lo, hi)
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
@@ -59,14 +62,8 @@ def line_chart(
     points = [p for _, xs, ys in series for p in _drawn(xs, ys, log_y)]
     if not points:
         points = [(0.0, 0.0), (1.0, 1.0)]
-    x_lo = min(p[0] for p in points)
-    x_hi = max(p[0] for p in points)
-    y_lo = min(p[1] for p in points)
-    y_hi = max(p[1] for p in points)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _axis(min(p[0] for p in points), max(p[0] for p in points))
+    y_lo, y_hi = _axis(min(p[1] for p in points), max(p[1] for p in points))
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -87,13 +87,20 @@ def temperature(tau: float, rho: float, p_c: float) -> float:
 
 
 def h_rho(inputs: BoundInputs) -> float:
-    """D^2 + max_c T_{c,rho}/m + gamma^2/(m^2 d) + sigma^2/m^2."""
+    """D^2 + max_c T_{c,rho}/m + gamma^2/(m^2 d) + sigma^2/m^2; an m whose square leaves float64 raises."""
+    try:
+        m2 = inputs.m ** 2
+    except OverflowError:  # Python's float power raises past float64's largest value
+        m2 = np.inf
+    if not 0.0 < m2 < np.inf:
+        size = "large: m^2 overflows" if m2 else "small: m^2 underflows to 0"
+        raise TheoryError(f"the strong convexity m = {inputs.m:g} is too {size}")
     worst_temp = temperature(inputs.tau, inputs.rho, inputs.min_pc)
     return (
         inputs.D ** 2
         + worst_temp / inputs.m
-        + inputs.gamma_het ** 2 / (inputs.m ** 2 * inputs.d)
-        + inputs.sigma_sg ** 2 / inputs.m ** 2
+        + inputs.gamma_het ** 2 / (m2 * inputs.d)
+        + inputs.sigma_sg ** 2 / m2
     )
 
 
@@ -183,9 +190,9 @@ def plan_steps(epsilon: float, inputs: BoundInputs):
         raise TheoryError("epsilon must be positive")
     kappa = inputs.kappa
     h0 = h_rho(replace(inputs, rho=0.0))
-    eta_star = epsilon * epsilon / (  # inf at a huge epsilon, capped below
-        3600.0 * kappa ** 2 * inputs.m * inputs.d * (inputs.K ** 2 + kappa) * h0
-    )
+    with np.errstate(over="ignore"):  # a kappa^2 past float64 is inf, so eta* is 0
+        denominator = 3600.0 * np.float64(kappa) ** 2 * inputs.m * inputs.d * (inputs.K ** 2 + kappa) * h0
+    eta_star = epsilon * epsilon / denominator  # inf at a huge epsilon, capped below
     eta = min(1.0 / (2.0 * inputs.L), eta_star)
     initial = _initial_term(inputs)
     if initial <= epsilon / 2.0:

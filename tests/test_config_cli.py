@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from fald import cli, config, metrics, model as model_mod, privacy, theory
 from fald.config import ConfigError, parse_config
 from fald.engine import FixedStep, FullDevice, SchemeI, SchemeII, run_block
+from fald.svgchart import line_chart
 from tests_support_golden import BLAS_THREAD_VARS, GOLDEN_CONFIGS
-from tests_support_model import exact_grads
+from tests_support_limits import time_limit
+from tests_support_model import exact_grads, read_dataset_csv
 
 MINIMAL = """
 # smallest valid experiment description
@@ -337,23 +339,21 @@ def test_writer_rejects_ragged_or_transposed_columns(tmp_path):
     assert not path.exists()
 
 
-def test_crlf_dataset_still_loads(tmp_path):
-    # dataset.csv used to be written with CRLF line ends; it now ends lines in LF
+def test_dataset_csv_ends_lines_in_lf(tmp_path):
+    # dataset.csv used to be written with CRLF line ends
     spec, _, _ = model_mod.gen_logistic_federation(3, 0.5, [4, 6, 5], 2, 3, seed=2)
-    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-    cli.save_dataset_csv(spec.data, lf)
-    assert b"\r" not in lf.read_bytes()
-    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    for path in (lf, crlf):
-        loaded = model_mod.load_dataset_csv(path)
-        for a, b in zip(loaded.clients + loaded.labels, spec.data.clients + spec.data.labels):
-            assert np.array_equal(a, b) and a.dtype == b.dtype
+    path = tmp_path / "dataset.csv"
+    cli.save_dataset_csv(spec.data, path)
+    assert b"\r" not in path.read_bytes()
+    loaded = read_dataset_csv(path)
+    for a, b in zip(loaded.clients + loaded.labels, spec.data.clients + spec.data.labels):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 def test_gen_data_writes_dataset(tmp_path):
     path = write_config(tmp_path, MINIMAL)
     assert run_cli(["gen-data", path, "--outdir", tmp_path]) == 0
-    loaded = model_mod.load_dataset_csv(tmp_path / "dataset.csv")
+    loaded = read_dataset_csv(tmp_path / "dataset.csv")
     assert loaded.n_clients == 3
     assert loaded.counts.tolist() == [4, 4, 4]
 
@@ -382,6 +382,40 @@ def test_svg_renders_only_csv_data(tmp_path):
     svg = (tmp_path / "run_metrics.svg").read_text()
     points = re.search(r'points="([^"]+)"', svg).group(1).split()
     assert len(points) == len([v for v in w2 if v > 0])
+
+
+# a W2 curve a few ulps wide: the tick step of its log axis is below the spacing of floats there
+ULP_WIDE_SERIES = ("w2", [0, 1, 2], [0.29015121915314235, 0.2901512191531424, 0.29015121915314235])
+
+
+def test_chart_of_a_few_ulps_wide_series_is_flat():
+    with time_limit(10.0):
+        svg = line_chart([ULP_WIDE_SERIES], "t", "x", "y", log_y=True)
+    # drawn like a flat series: its axis spans one decade from the value
+    assert svg == line_chart([(ULP_WIDE_SERIES[0], ULP_WIDE_SERIES[1], [0.29015121915314235] * 3)], "t", "x", "y",
+                             log_y=True)
+
+
+def test_run_with_a_few_ulps_wide_w2_curve_finishes(tmp_path):
+    # at eta = 1e-170 the chains barely move, so the W2 of both rounds agrees to a few ulps
+    text = """\
+model = gaussian
+n_clients = 5
+points_per_client = 4, 4, 6, 6, 3
+k_local = 1
+horizon = 2
+replications = 2
+eta = 1e-170
+rho = 1
+tau = 0.7
+alpha = 0
+seed = 6
+"""
+    with time_limit(30.0):
+        assert run_cli(["run", write_config(tmp_path, text), "--outdir", tmp_path]) == 0
+    with open(tmp_path / "run_metrics.csv", newline="") as fh:
+        w2 = [float(row["w2"]) for row in csv.DictReader(fh)]
+    assert 0 < max(w2) - min(w2) < 1e-15
 
 
 def test_config_error_exit_code(tmp_path):
@@ -604,13 +638,27 @@ seed = 3
         ("plan", RUN_GAUSSIAN + "target_eps = 1e-170\n", "target_eps = 1e-170 gives no finite horizon (planned eta = 0)"),
         ("privacy", RUN_GAUSSIAN + "delta_l = 1e-300\n", "delta_l = 1e-300 is too small: delta_l^2 underflows to 0"),
         ("bounds", SINGULAR_RIDGE, "the energy's Hessian is singular at ridge = 1e-300"),
+        ("privacy", RUN_GAUSSIAN + "delta_l = 1e300\n", "delta_l = 1e+300 is too large: delta_l^2 overflows"),
+        ("plan", GOLDEN_CONFIGS["gaussian-full-q1"].replace("sigma = 5, -2, -2, 1", "sigma = 1e300, 0, 0, 1e300")
+         + "target_eps = 0.5\n", "the strong convexity m = 2.4e-299 is too small: m^2 underflows to 0"),
+        ("bounds", GOLDEN_CONFIGS["gaussian-full-q1"].replace("sigma = 5, -2, -2, 1", "sigma = 1e300, 0, 0, 1e300"),
+         "the strong convexity m = 2.4e-299 is too small: m^2 underflows to 0"),
     ],
-    ids=["plan-tiny-target_eps", "privacy-tiny-delta_l", "bounds-tiny-ridge"],
+    ids=["plan-tiny-target_eps", "privacy-tiny-delta_l", "bounds-tiny-ridge", "privacy-huge-delta_l", "plan-tiny-m",
+         "bounds-tiny-m"],
 )
 def test_values_past_floating_point_range_exit_3(command, text, message, tmp_path):
     # a fresh process: main imports the exit-3 error classes only when an error reaches it
     proc = fald_process(command, write_config(tmp_path, text), tmp_path / "out")
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+def test_plan_at_a_huge_convexity_exits_3(tmp_path):
+    # m^2 overflows; numpy warns first that the heterogeneity's squared norm overflows too
+    text = GOLDEN_CONFIGS["gaussian-full-q1"].replace("sigma = 5, -2, -2, 1", "sigma = 1e-300, 0, 0, 1e-300")
+    proc = fald_process("plan", write_config(tmp_path, text + "target_eps = 0.5\n"), tmp_path / "out")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.endswith("\nerror: the strong convexity m = 2.4e+301 is too large: m^2 overflows\n")
 
 
 def test_plan_at_a_huge_target_caps_eta(tmp_path):

@@ -23,9 +23,10 @@ from fald.engine import (
     synchronize,
 )
 from fald.model import gen_gaussian_federation, gen_logistic_federation
-from fald.streams import SHARED, key_grid, normals_for_keys, stream_key
+from fald.streams import SHARED, key_grid, normals_for_keys
 from tests_support_minibatch import one_minibatch_grad
 from tests_support_model import exact_grads, gaussian_energy
+from tests_support_streams import stream_key
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 

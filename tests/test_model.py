@@ -19,7 +19,6 @@ from fald.model import (
     gaussian_client_grad_subset,
     gen_gaussian_federation,
     gen_logistic_federation,
-    load_dataset_csv,
     logistic_client_grad,
     predict_proba,
     smoothness,
@@ -28,9 +27,10 @@ from fald.model import (
     subsample_size,
     target_posterior,
 )
-from fald.streams import SHARED, key_grid, normals_for_keys, stream_key, uniforms_for_keys
+from fald.streams import SHARED, key_grid, normals_for_keys, uniforms_for_keys
 from tests_support_minibatch import one_minibatch_grad
-from tests_support_model import exact_grads, gaussian_energy
+from tests_support_model import exact_grads, gaussian_energy, read_dataset_csv
+from tests_support_streams import stream_key
 
 REF_SIGMA = np.array([[5.0, -2.0], [-2.0, 1.0]])
 
@@ -103,7 +103,7 @@ def test_dataset_csv_roundtrip(tmp_path):
     spec = make_spec()
     path = tmp_path / "data.csv"
     save_dataset_csv(spec.data, path)
-    loaded = load_dataset_csv(path)
+    loaded = read_dataset_csv(path)
     assert loaded.n_clients == spec.data.n_clients
     for a, b in zip(loaded.clients, spec.data.clients):
         assert np.array_equal(a, b)
@@ -113,7 +113,7 @@ def test_labeled_csv_roundtrip(tmp_path):
     spec, _, _ = gen_logistic_federation(2, 0.5, 6, 2, 3, seed=1)
     path = tmp_path / "data.csv"
     save_dataset_csv(spec.data, path)
-    loaded = load_dataset_csv(path)
+    loaded = read_dataset_csv(path)
     for a, b in zip(loaded.labels, spec.data.labels):
         assert np.array_equal(a, b)
 

@@ -9,9 +9,9 @@ from fald.streams import (
     _mix64_int,
     key_grid,
     normals_for_keys,
-    stream_key,
     uniforms_for_keys,
 )
+from tests_support_streams import stream_key
 
 
 def uniforms(seed, rep, k, client, purpose, n):

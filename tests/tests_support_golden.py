@@ -3,8 +3,9 @@
 Every engine path (Gaussian and logistic oracles, full device, scheme I and
 scheme II, full batch and minibatch, fixed and decaying schedules) has one
 small config here, plus a sweep on every axis (the eta one with a diverging
-value) and two `gen-data` datasets.  ``tests/test_golden.py`` runs each through the CLI and
-compares output bytes with ``golden_digests.json``.  Temperature 0.7 and
+value), two `gen-data` datasets and the analysis of every bound.
+``tests/test_golden.py`` runs each through the CLI and compares output bytes
+with ``golden_digests.json``.  Temperature 0.7 and
 rho 0.3 make any slip in how tau or rho reach the noise visible.
 
 The float64 log1p/exp/log kernels are SIMD-dispatched and the small linear
@@ -80,8 +81,15 @@ _ANALYSIS = "delta_l = 1.0\neps_star = 50.0\ndelta_star = 0.5\ntarget_eps = 0.5\
 
 RUN_FILES = ("trajectory.csv", "run_metrics.csv", "run_metrics.svg", "summary.txt")
 ANALYSIS_FILES = {"plan": ("plan.txt",), "bounds": ("bounds.csv", "bounds.svg"), "privacy": ("privacy_report.txt",)}
-ANALYSED = ("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1",
-            "logistic-c9-scheme1:2-q0.5")
+# name -> the analysis commands it runs; analysis-* configs are analysed only, not run.  The four
+# partial-scheme ones evaluate bound_partial, the full-device ones bound_full_fixed and bound_decaying
+# (privacy accounting rejects the decaying schedule)
+ANALYSED = {
+    **dict.fromkeys(("gaussian-scheme2:2-q0.5", "logistic-scheme1:2-q0.5", "logistic-scheme1:2-q1",
+                     "logistic-c9-scheme1:2-q0.5"), tuple(ANALYSIS_FILES)),
+    "analysis-gaussian-full-fixed": tuple(ANALYSIS_FILES),
+    "analysis-gaussian-full-decaying": ("plan", "bounds"),
+}
 GEN_DATA = ("gaussian-full-q1", "logistic-full-q1")
 SWEEP_FILES = ("sweep.csv", "sweep_t_eps.csv")
 # one chart per charted metric: W2 for the Gaussian model, each predictive metric for the softmax one
@@ -99,6 +107,8 @@ def _configs() -> dict:
                 text = base + scheme_lines + f"subsample_ratio = {q}\n"
                 configs[name] = text + (_ANALYSIS if name in ANALYSED else "")
     configs["gaussian-full-decaying"] = _GAUSSIAN + "schedule = decaying\n"
+    configs["analysis-gaussian-full-fixed"] = configs["gaussian-full-q1"] + _ANALYSIS
+    configs["analysis-gaussian-full-decaying"] = configs["gaussian-full-decaying"] + _ANALYSIS
     # unequal client sizes: the minibatch gradient batches clients per size group
     configs["gaussian-unequal-scheme1:2-q0.5"] = (
         _GAUSSIAN.replace("points_per_client = 6", "points_per_client = 5, 6, 6, 8")
@@ -139,8 +149,8 @@ def _configs() -> dict:
     return configs
 
 
-#: name -> config text; sweep-* configs are swept, every other config is run,
-#: the ANALYSED ones also analysed and the GEN_DATA ones written out as datasets
+#: name -> config text; sweep-* configs are swept, analysis-* ones only analysed, every other config is
+#: run, the ANALYSED ones also analysed and the GEN_DATA ones written out as datasets
 GOLDEN_CONFIGS = _configs()
 
 
@@ -179,9 +189,13 @@ def output_digests(name: str, workdir: Path, fald=in_process) -> dict:
     # sweep_t_eps.csv is written only when the config sets target_eps
     sweep_files = SWEEP_FILES if "target_eps" in GOLDEN_CONFIGS[name] else SWEEP_FILES[:1]
     sweep_files += SWEEP_CHARTS[name.split("-")[1]] if name.startswith("sweep-") else ()
-    commands = {"sweep": sweep_files} if name.startswith("sweep-") else {"run": RUN_FILES}
-    if name in ANALYSED:
-        commands.update(ANALYSIS_FILES)
+    if name.startswith("sweep-"):
+        commands = {"sweep": sweep_files}
+    elif name.startswith("analysis-"):
+        commands = {}
+    else:
+        commands = {"run": RUN_FILES}
+    commands.update((command, ANALYSIS_FILES[command]) for command in ANALYSED.get(name, ()))
     if name in GEN_DATA:
         commands["gen-data"] = ("dataset.csv",)
     digests = {}
