@@ -1,6 +1,6 @@
 """Config fuzz: every command on generated configs exits 0, 2 or 3, and a run that exits 0 writes its files.
 
-The configs are tiny (at most 4 clients of 6 points, 10 rounds and 3
+The configs are tiny (at most 4 clients of 6 points, 12 rounds and 3
 replications) and set any subset of the keys in the README table, with edge
 values such as 1e-300 and 1e300 wherever a key takes a positive number.
 """
@@ -125,7 +125,7 @@ def expected_files(command: str, cfg: dict, outdir: Path) -> set:
     if command == "sweep":
         with open(outdir / "sweep.csv", newline="") as fh:
             metrics = {row["metric"] for row in csv.DictReader(fh)} - {"truncated"}
-        t_eps = cfg.get("model", "gaussian") == "gaussian" and "target_eps" in cfg
+        t_eps = cfg["model"] == "gaussian" and "target_eps" in cfg
         return {"sweep.csv", *(f"sweep_{m}.svg" for m in metrics), *(["sweep_t_eps.csv"] if t_eps else [])}
     return {
         "gen-data": {"dataset.csv"},
