@@ -16,7 +16,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 
 def _axis(lo: float, hi: float) -> Tuple[float, float]:
-    """The axis range over data in [lo, hi]; a span too narrow for distinct ticks (none, or a few ulps) is [lo, lo + 1]."""
+    """The axis range over data in [lo, hi]; a span too narrow for distinct ticks (none, or a few ulps) is [lo, lo+1]."""
     return (lo, lo + 1.0) if hi - lo <= 1e-12 * max(abs(lo), abs(hi)) else (lo, hi)
 
 

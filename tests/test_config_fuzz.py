@@ -107,7 +107,8 @@ def configs(draw) -> dict:
     for key, (low, _) in SHAPE_KEYS.items():
         values[key] = draw(st.none() | st.integers(low, 3))
     shape = [SHAPE_KEYS[key][1] if values[key] is None else values[key] for key in SHAPE_KEYS]
-    optional = optional_keys(n, values["model"], *shape, draw(st.integers(1, 3)), draw(st.sampled_from(config.SWEEP_AXES)))
+    k, axis = draw(st.integers(1, 3)), draw(st.sampled_from(config.SWEEP_AXES))
+    optional = optional_keys(n, values["model"], *shape, k, axis)
     for keys, strategy in optional.items():
         if draw(st.integers(0, 3)):  # set three times in four
             values.update(zip(keys, draw(strategy)))
@@ -116,7 +117,7 @@ def configs(draw) -> dict:
 
 def test_fuzz_covers_every_config_key():
     optional = optional_keys(2, "gaussian", 2, 2, 3, 1, "eta")
-    drawn = {"model", "n_clients", "points_per_client", "seed", *SHAPE_KEYS, *(key for keys in optional for key in keys)}
+    drawn = {"model", "n_clients", "points_per_client", "seed", *SHAPE_KEYS, *(k for keys in optional for k in keys)}
     assert drawn == set(config._KEYS)
 
 
